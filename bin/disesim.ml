@@ -459,7 +459,9 @@ let synthesize_cmd =
         ~progress:(fun m -> Format.eprintf "disesim synthesize: %s@." m)
         bench
     in
+    let t0 = Unix.gettimeofday () in
     let r = guarded (fun () -> Sy.Search.run cfg) in
+    let elapsed = Unix.gettimeofday () -. t0 in
     let dict_path = Filename.concat out "dictionary.json" in
     Sy.Search.write_dictionary ~path:dict_path cfg r;
     Format.printf "synthesized %d-entry dictionary (%d seeds) for %s (%s):@."
@@ -477,6 +479,11 @@ let synthesize_cmd =
       r.Sy.Search.footprint.Dise_core.Prodset.pt_patterns
       r.Sy.Search.footprint.Dise_core.Prodset.rt_entries
       r.Sy.Search.outcome.Sy.Score.fits;
+    (* Wall-clock, so only here: the dictionary and journal stay
+       timestamp-free. *)
+    Format.printf "  throughput:    %.1f evaluations/s (%.2f s)@."
+      (float_of_int r.Sy.Search.evaluations /. Float.max elapsed 1e-9)
+      elapsed;
     Format.printf "(dictionary written to %s)@." dict_path
   in
   Cmd.v (Cmd.info "synthesize" ~doc)

@@ -640,16 +640,14 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
   (* Fixpoint: lay out, check branch-offset parameters, un-compress
      violating instances. *)
   let zero_offsets ~inst:_ ~pos:_ _ = 0 in
-  let rec fixpoint iter =
+  let rec fixpoint () =
     let prog' = rebuild ~offset_of:zero_offsets in
     let img = Program.layout ~base:code_base ~size_of prog' in
-    (* For every active instance with Off10 params, check the final
-       offset. The codeword's address: instances map 1:1 to codewords
-       in rebuild order; recover it by walking the same decision
-       table. We instead compute from the image: the codeword for an
-       instance is the instruction at the address where the instance's
-       first surviving position landed. Simpler: walk blocks again
-       counting emitted instructions. *)
+    (* Walk the blocks in rebuild order, counting emitted instructions,
+       to recover each codeword's address; check every active
+       instance's Off10 params against it. Codeword sizes are fixed, so
+       the converged iteration's addresses are final. *)
+    let addr_tbl : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
     let violations = ref [] in
     let bi = ref (-1) in
     let idx = ref 0 in
@@ -666,6 +664,7 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
             match Hashtbl.find_opt starts (blk, !pos) with
             | Some (c, inst) ->
               let addr = Program.Image.addr_of_index img !idx in
+              Hashtbl.replace addr_tbl (blk, inst.start) addr;
               List.iter
                 (fun p ->
                   match p.kind with
@@ -694,49 +693,15 @@ and finalize ~scheme ~prog ~segs (chosen : chosen array) =
               incr pos
           done)
       segs;
-    if !violations = [] then img
+    if !violations = [] then (addr_tbl, img)
     else begin
       (* Un-compress the violating instances and re-lay-out; each round
          removes at least one instance, so this terminates. *)
       List.iter (fun k -> Hashtbl.remove starts k) !violations;
-      fixpoint (iter + 1)
+      fixpoint ()
     end
   in
-  let probe_img = fixpoint 0 in
-  (* Final pass with real offsets. Layout is unchanged (codeword sizes
-     are fixed), so offsets computed against [probe_img] are final. *)
-  ignore probe_img;
-  let final_offsets =
-    (* recompute codeword addresses as in fixpoint *)
-    let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-    let prog' = rebuild ~offset_of:zero_offsets in
-    let img = Program.layout ~base:code_base ~size_of prog' in
-    let bi = ref (-1) in
-    let idx = ref 0 in
-    List.iter
-      (fun seg ->
-        match seg with
-        | Lbl _ -> ()
-        | Blk arr ->
-          incr bi;
-          let blk = !bi in
-          let pos = ref 0 in
-          let n = Array.length arr in
-          while !pos < n do
-            match Hashtbl.find_opt starts (blk, !pos) with
-            | Some (c, _) ->
-              Hashtbl.replace tbl (blk, !pos)
-                (Program.Image.addr_of_index img !idx);
-              incr idx;
-              pos := !pos + entry_len c
-            | None ->
-              incr idx;
-              incr pos
-          done)
-      segs;
-    (tbl, img)
-  in
-  let addr_tbl, layout_img = final_offsets in
+  let addr_tbl, layout_img = fixpoint () in
   let offset_of ~inst ~pos:_ t =
     let addr =
       match Hashtbl.find_opt addr_tbl (inst.blk, inst.start) with

@@ -557,9 +557,13 @@ let rewritten_program (entry : Suite.entry) =
         ~code_seg:Codegen.code_segment_id entry.Suite.gen.Codegen.program)
 
 let compress_result ~scheme ?(rewritten = false) (entry : Suite.entry) =
+  (* Keyed by the whole scheme, not its name: a serve request may carry
+     any scheme, and a custom one named like a standard scheme must not
+     be served that scheme's image. *)
   let key =
     Printf.sprintf "%s/%s/%b/%d" entry.Suite.profile.Profile.name
-      scheme.Compress.name rewritten entry.Suite.gen.Codegen.total_insns
+      (Json.to_string (scheme_to_json scheme))
+      rewritten entry.Suite.gen.Codegen.total_insns
   in
   memoize compress_memo key (fun () ->
       let prog =
@@ -568,7 +572,7 @@ let compress_result ~scheme ?(rewritten = false) (entry : Suite.entry) =
       in
       Compress.compress ~scheme prog)
 
-let simulate ?trace ?profile ?poll t (entry : Suite.entry) =
+let simulate ?trace ?profile ?poll ?seeded t (entry : Suite.entry) =
   match t.acf with
   | Baseline ->
     let m = plain_machine t entry.Suite.image in
@@ -611,9 +615,16 @@ let simulate ?trace ?profile ?poll t (entry : Suite.entry) =
     (* Candidate dictionaries are transient (the search scores
        hundreds), so unlike [Decompress] the full result is not
        memoized in memory — the run's statistics still persist in the
-       disk cache under the seed-bearing canonical key. *)
-    let corpus = Compress.corpus ~scheme entry.Suite.gen.Codegen.program in
-    let result = Compress.compress_seeded corpus ~seeds in
+       disk cache under the seed-bearing canonical key. A caller that
+       already compressed the candidate hands the result over as
+       [seeded] (checked in [run_ext]) and nothing is enumerated. *)
+    let result =
+      match seeded with
+      | Some r -> r
+      | None ->
+        let corpus = Compress.corpus ~scheme entry.Suite.gen.Codegen.program in
+        Compress.compress_seeded corpus ~seeds
+    in
     let m = with_engine t result.Compress.image result.Compress.prodset in
     let stats =
       run_machine t ~prodset:result.Compress.prodset ?trace ?profile ?poll m
@@ -636,7 +647,7 @@ let poll_of_deadline = function
       (fun () ->
         if Unix.gettimeofday () > d then raise Resilience.Deadline_exceeded)
 
-let run_cached ?entry ?deadline t =
+let run_cached ?entry ?deadline ?seeded t =
   let canon = canonical t in
   let k = Cache.key canon in
   let fresh = ref false in
@@ -647,7 +658,7 @@ let run_cached ?entry ?deadline t =
     | None ->
       fresh := true;
       let entry = match entry with Some e -> e | None -> derive_entry t in
-      let stats = simulate ?poll t entry in
+      let stats = simulate ?poll ?seeded t entry in
       disk_store ~key:k ~request:(Json.parse canon)
         (Stats.to_json stats);
       stats
@@ -697,7 +708,23 @@ let diag_of_exn = function
    the same histogram; the serve-level split lives one layer up. *)
 let h_run = Dise_telemetry.Metrics.Histogram.make "request_run_ns"
 
-let run_ext ?entry ?deadline t =
+(* The cheap half of the [?seeded] contract: the result must come from
+   the request's own scheme and program. That it came from the
+   request's seeds is the caller's promise, like [?entry]'s. *)
+let check_seeded t (entry : Suite.entry) (r : Compress.result) =
+  match t.acf with
+  | Synth { scheme; _ } ->
+    if r.Compress.scheme <> scheme then
+      Error (Diag.Invalid "seeded compression was built with another scheme")
+    else if
+      r.Compress.orig_text_bytes
+      <> 4 * Dise_isa.Program.size entry.Suite.gen.Codegen.program
+    then
+      Error (Diag.Invalid "seeded compression was built from another program")
+    else Ok ()
+  | _ -> Error (Diag.Invalid "a seeded compression needs a synth request")
+
+let run_ext ?entry ?deadline ?seeded t =
   let expired () =
     match deadline with
     | Some d -> Unix.gettimeofday () > d
@@ -714,8 +741,17 @@ let run_ext ?entry ?deadline t =
         (Unix.gettimeofday () -. t0);
       r
     in
-    match run_cached ?entry ?deadline t with
-    | result -> finish (Ok result)
+    let go () =
+      match seeded with
+      | None -> Ok (run_cached ?entry ?deadline t)
+      | Some r -> (
+        let entry = match entry with Some e -> e | None -> derive_entry t in
+        match check_seeded t entry r with
+        | Error _ as e -> e
+        | Ok () -> Ok (run_cached ~entry ?deadline ~seeded:r t))
+    in
+    match go () with
+    | result -> finish result
     | exception e when known_exn e -> finish (Error (diag_of_exn e))
   end
 

@@ -137,6 +137,7 @@ val run :
 val run_ext :
   ?entry:Dise_workload.Suite.entry ->
   ?deadline:float ->
+  ?seeded:Dise_acf.Compress.result ->
   t ->
   (Dise_uarch.Stats.t * bool, Dise_isa.Diag.t) result
 (** Like {!run} (sink-free), returning [stats, cache_hit]. The flag
@@ -152,6 +153,15 @@ val run_ext :
     polls it every few thousand events and aborts with [Timeout]
     (cooperative — see {!Dise_uarch.Pipeline.run}). Cache hits beat
     the deadline by construction.
+
+    [seeded] hands a [Synth] request a compression the caller already
+    holds, so the run neither enumerates the corpus nor compresses
+    again. Like [?entry] it MUST equal
+    [Compress.compress_seeded (Compress.corpus ~scheme program) ~seeds]
+    for the request. The cheap part of that is checked: a result built
+    with another scheme or from a program of another size, or one
+    given to a non-[Synth] request, fails with [Invalid] before any
+    cache is read or written.
 
     Only {e expected} failures become [Error]: an exception outside
     the simulation stack's documented set (a bug, an injected chaos

@@ -61,7 +61,7 @@ let seeds_key seeds =
 
 (* Static half: ratio + capacity. [compress_seeded] only reads the
    shared corpus, so these run unsynchronized on pool domains. *)
-let static_of t seeds =
+let compressed t seeds =
   let r = Compress.compress_seeded t.corpus ~seeds in
   let fits =
     Prodset.fits
@@ -69,7 +69,11 @@ let static_of t seeds =
       ~pt_entries:t.controller.Controller.pt_entries
       ~rt_entries:t.controller.Controller.rt_entries r.Compress.prodset
   in
-  (fits, Compress.total_ratio r)
+  (r, fits, Compress.total_ratio r)
+
+let static_of t seeds =
+  let _, fits, ratio = compressed t seeds in
+  (fits, ratio)
 
 let request_of t seeds =
   { t.base with Request.acf = Request.Synth { scheme = t.scheme; seeds } }
@@ -89,11 +93,13 @@ let timed t ~ratio (stats : Stats.t) ~cache_hit =
     fresh = not cache_hit;
   }
 
+(* The compression behind the verdict is the one the timing run
+   needs, so it is handed over and the run enumerates nothing. *)
 let eval_local t seeds () =
-  let fits, ratio = static_of t seeds in
+  let seeded, fits, ratio = compressed t seeds in
   if not fits then unfit ratio
   else
-    match Request.run_ext ~entry:t.entry (request_of t seeds) with
+    match Request.run_ext ~entry:t.entry ~seeded (request_of t seeds) with
     | Ok (stats, cache_hit) -> timed t ~ratio stats ~cache_hit
     | Error d -> failwith ("synthesize: candidate run failed: " ^ Diag.to_string d)
 

@@ -9,8 +9,12 @@
     timing model through the result-cached {!Dise_service.Request}
     API (acf [Synth]), either on this process's domain pool or against
     a running [disesim serve] tier; unfit candidates are never
-    simulated. Fitness rewards bytes saved and penalizes execution
-    slowdown past a budget — see {!fitness}. *)
+    simulated. On the local pool the static half's compression is
+    handed to the timing run ([Request.run_ext ~seeded]), so a
+    candidate is compressed once and nothing is re-enumerated; a
+    serve worker rebuilds both from the seed list. Fitness rewards
+    bytes saved and penalizes execution slowdown past a budget — see
+    {!fitness}. *)
 
 type backend =
   | Local of { jobs : int }  (** score on this process's domain pool *)

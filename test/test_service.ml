@@ -432,6 +432,35 @@ let test_jit_knob_distinct_keys () =
   check string_ "default spells out the process default"
     (Request.key base) (Request.key on)
 
+(* The in-memory compression memo must key on the whole scheme: a
+   request may carry a custom scheme that reuses a standard scheme's
+   name, and it must get its own image, not the standard one. *)
+let test_compress_memo_keys_whole_scheme () =
+  let entry = W.Suite.get ~dyn_target:20_000 W.Profile.tiny in
+  let custom = { A.Compress.full_dise with A.Compress.max_len = 2 } in
+  let run scheme =
+    let req =
+      Request.v ~dyn_target:20_000 ~controller:Controller.default_config
+        ~acf:
+          (Request.Decompress { scheme; mfi = `None; rewritten = false })
+        "tiny"
+    in
+    match Request.run_ext ~entry req with
+    | Ok (stats, _) -> stats
+    | Error d -> Alcotest.failf "decompress run: %s" (Diag.to_string d)
+  in
+  Request.clear_memory ();
+  Fun.protect ~finally:Request.clear_memory (fun () ->
+      ignore (run A.Compress.full_dise);
+      let r = Request.compress_result ~scheme:custom entry in
+      check bool_ "memo returns the custom scheme's result" true
+        (r.A.Compress.scheme = custom);
+      let after_standard = run custom in
+      Request.clear_memory ();
+      let fresh = run custom in
+      check int_ "cycles match a cold memo" fresh.Stats.cycles
+        after_standard.Stats.cycles)
+
 let t = QCheck_alcotest.to_alcotest
 
 let suite =
@@ -450,4 +479,6 @@ let suite =
     ("serve prodset swap between chunks", `Quick,
      test_serve_prodset_swap_chunks);
     ("jit knob distinct cache keys", `Quick, test_jit_knob_distinct_keys);
+    ("compress memo keys the whole scheme", `Quick,
+     test_compress_memo_keys_whole_scheme);
   ]

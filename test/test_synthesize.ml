@@ -60,16 +60,17 @@ let test_seeded_deterministic () =
   check int_ "dict bytes" a.Compress.dict_bytes b.Compress.dict_bytes;
   check int_ "codewords" a.Compress.codewords b.Compress.codewords
 
+(* Out of bounds, past the block's end, and empty. *)
+let stale_seeds =
+  [
+    { Compress.s_blk = 100_000; s_start = 0; s_len = 2 };
+    { Compress.s_blk = 0; s_start = 500; s_len = 2 };
+    { Compress.s_blk = 0; s_start = 0; s_len = 0 };
+  ]
+
 let test_stale_seeds_skipped () =
   let c = Lazy.force tiny_corpus in
-  let bogus =
-    [
-      { Compress.s_blk = 100_000; s_start = 0; s_len = 2 };
-      { Compress.s_blk = 0; s_start = 500; s_len = 2 };
-      { Compress.s_blk = 0; s_start = 0; s_len = 0 };
-    ]
-  in
-  let r = Compress.compress_seeded c ~seeds:bogus in
+  let r = Compress.compress_seeded c ~seeds:stale_seeds in
   check int_ "no entries from bogus seeds" 0 (List.length r.Compress.entries);
   check int_ "text untouched" r.Compress.orig_text_bytes r.Compress.text_bytes
 
@@ -239,6 +240,124 @@ let test_journal_roundtrip () =
   Sy.Journal.close j2;
   Sys.remove path
 
+(* --- scoring hands its compression to the timing run ------------------- *)
+
+(* A small RT, so a handful of seeds already overflows it. *)
+let small_rt = { Controller.default_config with Controller.rt_entries = 16 }
+
+let tiny_base = Request.v ~dyn_target:4_000 ~controller:small_rt "tiny"
+
+let tiny_baseline_cycles () =
+  match Request.run_ext ~entry:(Lazy.force tiny_entry) tiny_base with
+  | Ok (st, _) -> st.Stats.cycles
+  | Error d -> Alcotest.failf "baseline: %s" (Dise_isa.Diag.to_string d)
+
+(* The scorer's outcome recomputed the long way: a fresh corpus, the
+   capacity verdict, and a timing run that compresses for itself. *)
+let independent_outcome ~baseline_cycles seeds =
+  let e = Lazy.force tiny_entry in
+  let scheme = Compress.full_dise in
+  let corpus = Compress.corpus ~scheme e.W.Suite.gen.W.Codegen.program in
+  let r = Compress.compress_seeded corpus ~seeds in
+  let fits =
+    Prodset.fits ~entries_per_block:small_rt.Controller.rt_entries_per_block
+      ~pt_entries:small_rt.Controller.pt_entries
+      ~rt_entries:small_rt.Controller.rt_entries r.Compress.prodset
+  in
+  let rel =
+    if not fits then Float.nan
+    else
+      let req =
+        { tiny_base with Request.acf = Request.Synth { scheme; seeds } }
+      in
+      match Request.run_ext ~entry:e req with
+      | Ok (st, _) ->
+        float_of_int st.Stats.cycles /. float_of_int baseline_cycles
+      | Error d -> Alcotest.failf "synth run: %s" (Dise_isa.Diag.to_string d)
+  in
+  (fits, Compress.total_ratio r, rel)
+
+let test_score_matches_independent_path () =
+  let seeds_of k =
+    List.filteri (fun i _ -> i < k) (Compress.windows (Lazy.force tiny_corpus))
+    |> List.map (fun w -> w.Compress.w_seed)
+  in
+  let cands =
+    [| seeds_of 1; seeds_of 40; stale_seeds @ seeds_of 1; stale_seeds; [] |]
+  in
+  let baseline_cycles = tiny_baseline_cycles () in
+  let expected = Array.map (independent_outcome ~baseline_cycles) cands in
+  let fit (f, _, _) = f in
+  check bool_ "one seed fits" true (fit expected.(0));
+  check bool_ "forty seeds overflow the RT" false (fit expected.(1));
+  List.iter
+    (fun jobs ->
+      let scorer =
+        Sy.Score.create ~backend:(Sy.Score.Local { jobs }) ~base:tiny_base
+          ~entry:(Lazy.force tiny_entry) ~scheme:Compress.full_dise
+          ~corpus:(Lazy.force tiny_corpus) ~controller:small_rt
+          ~baseline_cycles ~rel_budget:1.05 ~slow_penalty:4.0
+      in
+      Array.iteri
+        (fun i (o : Sy.Score.outcome) ->
+          let fits, ratio, rel = expected.(i) in
+          let what = Printf.sprintf "jobs %d, candidate %d" jobs i in
+          check bool_ (what ^ ": fits") fits o.Sy.Score.fits;
+          check bool_ (what ^ ": ratio") true
+            (Float.equal ratio o.Sy.Score.ratio);
+          check bool_ (what ^ ": rel") true (Float.equal rel o.Sy.Score.rel);
+          check bool_ (what ^ ": fresh") true o.Sy.Score.fresh)
+        (Sy.Score.score_batch scorer cands))
+    [ 1; 2 ]
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "synth-seeded" "" in
+  let rec rm path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> rm (Filename.concat path n)) (Sys.readdir path);
+      Unix.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () -> rm dir) (fun () -> f dir)
+
+(* A handed-over compression that cannot belong to the request is
+   refused before anything is simulated or stored. *)
+let test_seeded_mismatch_rejected () =
+  let e = Lazy.force tiny_entry in
+  let w = List.hd (Compress.windows (Lazy.force tiny_corpus)) in
+  let seeds = [ w.Compress.w_seed ] in
+  let scheme = Compress.full_dise in
+  let req = { tiny_base with Request.acf = Request.Synth { scheme; seeds } } in
+  let seeded_from ~scheme (e : W.Suite.entry) =
+    Compress.compress_seeded
+      (Compress.corpus ~scheme e.W.Suite.gen.W.Codegen.program)
+      ~seeds
+  in
+  let mcf = W.Suite.get ~dyn_target:4_000 (Option.get (W.Profile.find "mcf")) in
+  let wrong =
+    [
+      ("other scheme", seeded_from ~scheme:Compress.dedicated e);
+      ("other program", seeded_from ~scheme mcf);
+    ]
+  in
+  with_temp_dir (fun dir ->
+      let cache = Dise_service.Cache.create ~dir in
+      Request.set_disk_cache (Some cache);
+      Fun.protect
+        ~finally:(fun () -> Request.set_disk_cache None)
+        (fun () ->
+          List.iter
+            (fun (what, seeded) ->
+              match Request.run_ext ~entry:e ~seeded req with
+              | Error (Dise_isa.Diag.Invalid _) -> ()
+              | Error d ->
+                Alcotest.failf "%s: wrong error %s" what
+                  (Dise_isa.Diag.to_string d)
+              | Ok _ -> Alcotest.failf "%s: accepted" what)
+            wrong;
+          check int_ "nothing stored" 0 (Dise_service.Cache.entries cache)))
+
 (* --- end-to-end search ------------------------------------------------- *)
 
 let search_cfg ?journal () =
@@ -293,6 +412,10 @@ let suite =
     Alcotest.test_case "synth json round-trip" `Quick test_synth_json_roundtrip;
     Alcotest.test_case "synth json malformed" `Quick test_synth_json_malformed;
     Alcotest.test_case "journal round-trip" `Quick test_journal_roundtrip;
+    Alcotest.test_case "score matches independent path" `Quick
+      test_score_matches_independent_path;
+    Alcotest.test_case "seeded mismatch rejected" `Quick
+      test_seeded_mismatch_rejected;
     Alcotest.test_case "search deterministic" `Quick test_search_deterministic;
     Alcotest.test_case "search resumes via journal" `Quick
       test_search_resumes_via_journal;
