@@ -599,8 +599,8 @@ let serve_cmd =
   let doc =
     "Serve simulation requests in batch: JSONL requests in, JSONL \
      responses out (in input order). Reads stdin by default, or accepts \
-     connections on a Unix-domain socket. With --workers N, shards the \
-     tier across N worker processes behind an async front end. See \
+     connections on a Unix-domain socket. A socket, or --workers N, runs \
+     the tier of worker processes behind an async front end. See \
      doc/service.md and doc/serve-tier.md for the request and response \
      schemas and the wire envelope."
   in
@@ -617,7 +617,8 @@ let serve_cmd =
                  routing each job by its content-addressed result key \
                  (consistent hashing), and multiplex clients on an async \
                  front end. A crashed worker is respawned on its shard and \
-                 its journal shard replayed. 0 (default) serves in-process.")
+                 its journal shard replayed. 0 (default) serves stdin \
+                 in-process; --socket always runs at least one worker.")
   in
   let jobs_arg =
     Arg.(value & opt (some int) None & info [ "j"; "jobs" ]
@@ -633,10 +634,10 @@ let serve_cmd =
   let socket_arg =
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
            ~doc:"Listen on a Unix-domain socket at $(docv) instead of \
-                 serving stdin; connections are served sequentially, each \
-                 as one JSONL stream. If a live server already answers on \
-                 $(docv), refuse to start (exit 6); a stale socket left by \
-                 a crash is reclaimed.")
+                 serving stdin; the worker tier's event loop multiplexes \
+                 connections, each one JSONL stream. If a live server \
+                 already answers on $(docv), refuse to start (exit 6); a \
+                 stale socket left by a crash is reclaimed.")
   in
   let deadline_arg =
     Arg.(value & opt (some int) None & info [ "deadline-ms" ] ~docv:"MS"
@@ -664,9 +665,10 @@ let serve_cmd =
            ~doc:"Crash-safe job journal: append every admitted job to \
                  $(docv)/journal.jsonl before it executes and mark it done \
                  once answered. On startup, jobs a previous crash \
-                 interrupted are replayed into the result cache. With \
-                 --workers, each worker keeps its shard's journal in \
-                 $(docv)/worker-<shard>. See doc/resilience.md.")
+                 interrupted are replayed into the result cache, from \
+                 either layout. The worker tier (--workers or --socket) \
+                 keeps one journal per worker in $(docv)/worker-<shard>. \
+                 See doc/resilience.md.")
   in
   let serve_manifest_arg =
     Arg.(value & opt (some string) None & info [ "manifest" ] ~docv:"FILE"
@@ -691,8 +693,8 @@ let serve_cmd =
     Arg.(value & opt (some string) None & info [ "chaos-schedule" ]
            ~docv:"FILE"
            ~doc:"Replay a deterministic chaos schedule against the sharded \
-                 tier (requires --workers): a JSON file of seeded fault \
-                 events (kill/stall/torn/drop_ping/suspect/\
+                 tier (requires --workers or --socket): a JSON file of \
+                 seeded fault events (kill/stall/torn/drop_ping/suspect/\
                  truncate_journal) fired as the submitted-request count \
                  passes each event's 'after' \
                  (doc/schema/chaos_schedule.schema.json). The same file \
@@ -733,14 +735,15 @@ let serve_cmd =
     let on_signal _ = S.Server.Stop.signal stop in
     Sys.set_signal Sys.sigint (Sys.Signal_handle on_signal);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle on_signal);
-    if cfg.S.Serve_config.workers > 0 then begin
-      (* Sharded tier: the coordinator never simulates, so the cache,
+    let cache_dir =
+      if no_cache then None
+      else Some (match cache_dir with Some d -> d | None -> default_cache_dir ())
+    in
+    if cfg.S.Serve_config.workers > 0 || socket <> None then begin
+      (* The worker tier: the coordinator never simulates, so the cache,
          breaker, JIT, and journal shards are configured inside each
-         worker process from the spawn spec. *)
-      let cache_dir =
-        if no_cache then None
-        else Some (match cache_dir with Some d -> d | None -> default_cache_dir ())
-      in
+         worker process from the spawn spec. A socket always runs it
+         (with at least one worker). *)
       let jit = (not no_jit, jit_threshold) in
       let chaos =
         match chaos_schedule with
@@ -773,7 +776,7 @@ let serve_cmd =
             Format.eprintf "disesim serve: %a@." S.Server.pp_summary s
           | Some path -> (
             Format.eprintf "disesim serve: listening on %s (%d workers)@."
-              path cfg.S.Serve_config.workers;
+              path (max 1 cfg.S.Serve_config.workers);
             try
               let s =
                 S.Coordinator.run_socket ~stop ?manifest:manifest_t ?chaos
@@ -783,52 +786,17 @@ let serve_cmd =
             with S.Cache.Diag_error d -> die d))
     end
     else begin
-      setup_cache cache_dir no_cache;
-      if cfg.S.Serve_config.breaker > 0 then
-        S.Request.set_cache_breaker
-          (Some
-             (S.Resilience.Breaker.create ~threshold:cfg.S.Serve_config.breaker
-                ~cooldown_s:
-                  (float_of_int cfg.S.Serve_config.breaker_cooldown_ms /. 1000.)
-                ()));
-      (* Replay whatever a previous crash left begun-but-unfinished,
-         then start this run's journal from a clean file (everything
-         recorded is now either cached or just re-executed). *)
-      let journal_t =
-        match cfg.S.Serve_config.journal with
-        | None -> None
-        | Some dir ->
-          let replayed =
-            guarded (fun () ->
-                S.Server.replay_journal ~jobs:cfg.S.Serve_config.jobs ~dir ())
-          in
-          if replayed > 0 then
-            Format.eprintf
-              "disesim serve: replayed %d interrupted job%s from %s@."
-              replayed
-              (if replayed = 1 then "" else "s")
-              (S.Resilience.Journal.file ~dir);
-          S.Resilience.Journal.clear ~dir;
-          Some (guarded (fun () -> S.Resilience.Journal.open_ ~dir))
-      in
+      let journal_t = guarded (fun () -> S.Server.bootstrap ~cache_dir cfg) in
       let session =
         S.Server.session ~stop ?journal:journal_t ?manifest:manifest_t cfg
       in
       let finish () =
-        (match journal_t with
-        | Some j -> S.Resilience.Journal.close j
-        | None -> ());
+        Option.iter S.Resilience.Journal.close journal_t;
         close_manifest ()
       in
       Fun.protect ~finally:finish (fun () ->
-          match socket with
-          | None ->
-            let s = S.Server.serve_channel session stdin stdout in
-            Format.eprintf "disesim serve: %a@." S.Server.pp_summary s
-          | Some path -> (
-            Format.eprintf "disesim serve: listening on %s@." path;
-            try S.Server.serve_socket session ~path ()
-            with S.Cache.Diag_error d -> die d))
+          let s = S.Server.serve_channel session stdin stdout in
+          Format.eprintf "disesim serve: %a@." S.Server.pp_summary s)
     end
   in
   Cmd.v (Cmd.info "serve" ~doc)

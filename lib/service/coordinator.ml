@@ -5,12 +5,6 @@ module Diag = Dise_isa.Diag
 
 let env_var = "DISESIM_SERVE_WORKER"
 
-(* The coordinator executes nothing itself, so its latency instruments
-   come from the workers; [serve_execute_ns] here is the same
-   registry instrument the in-process server uses (make is
-   idempotent), recorded inside each worker process. *)
-let h_execute = Metrics.Histogram.make "serve_execute_ns"
-
 (* Client-observed latency of every logical request the coordinator
    completes (enqueue to response, hedges and retries included). The
    supervision layer hedges against this instrument's p95. *)
@@ -241,106 +235,50 @@ let wspec_of_json doc =
   in
   Ok { w_shard; w_cache; w_jit; w_cfg }
 
-let shard_journal_dir ~root shard =
-  Filename.concat root (Printf.sprintf "worker-%d" shard)
-
 let tag_name = function `Hit -> "hit" | `Fresh -> "fresh" | `Error _ -> "error"
 
-(* One decoded job frame, ready for the execution pipeline the
-   in-process server uses ([Server.run_parsed]). *)
-type wjob = { j_seq : int; j_enq : float; j_doc : Json.t; j_parsed : Server.parsed }
-
+(* One decoded job frame: its [seq] and the [(enqueued_at, job)] pair
+   {!Server.run_batch} executes. *)
 let decode_job doc =
   let id = Option.value (Json.member "id" doc) ~default:Json.Null in
-  let j_seq =
+  let seq =
     match Json.member "seq" doc with Some (Json.Int s) -> s | _ -> -1
   in
-  let j_enq =
+  let enq =
     match Json.member "enq" doc with
     | Some (Json.Float f) -> f
     | Some (Json.Int i) -> float_of_int i
     | _ -> Unix.gettimeofday ()
   in
-  let j_doc = Option.value (Json.member "req" doc) ~default:Json.Null in
   let req =
     match Json.member "req" doc with
     | Some r -> Request.of_json r
     | None ->
       Error (Diag.Parse { source = "serve-worker"; line = 0; msg = "job frame without req" })
   in
-  {
-    j_seq;
-    j_enq;
-    j_doc;
-    j_parsed = { Server.id; version = Server.protocol_version; tenant = None; req };
-  }
-
-(* Journal entries are the request document with the id merged back
-   in — the same shape the single-process server journals, so
-   [Server.replay_journal] replays either. *)
-let worker_journal_doc wj =
-  match wj.j_doc with
-  | Json.Obj fields -> Json.Obj (("id", wj.j_parsed.Server.id) :: fields)
-  | j -> j
+  (seq, (enq, { Server.id; version = Server.protocol_version; tenant = None; req }))
 
 (* [counters0]/[metrics0] are snapshotted by the caller {e before}
    journal replay, so replayed-job counts ship in the summary delta
    and surface in the coordinator's merged counters. *)
-let worker_serve spec journal ~counters0 ~metrics0 =
-  let cfg = spec.w_cfg in
-  let chaos = Resilience.Chaos.of_env () in
+let worker_serve spec sess ~counters0 ~metrics0 =
   let emit_frame doc = write_all Unix.stdout (frame_string doc) 0 in
   let run_batch batch =
-    let batch = Array.of_list batch in
-    let seqs =
-      match journal with
-      | None -> [||]
-      | Some j ->
-        let seqs =
-          Array.map
-            (fun wj ->
-              match wj.j_parsed.Server.req with
-              | Ok _ -> Some (Resilience.Journal.append_begin j (worker_journal_doc wj))
-              | Error _ -> None)
-            batch
-        in
-        Resilience.Journal.sync j;
-        seqs
-    in
-    let outcomes =
-      Pool.run_outcomes ~jobs:cfg.Serve_config.jobs
-        ~probe:(fun _i ~domain:_ dur -> Metrics.Histogram.observe_s h_execute dur)
-        (Array.map
-           (fun wj () ->
-             Server.run_parsed ~chaos ~deadline_ms:cfg.Serve_config.deadline_ms
-               ~enqueued_at:wj.j_enq wj.j_parsed)
-           batch)
-    in
-    Array.iteri
-      (fun i outcome ->
-        let resp, tag =
-          match outcome with
-          | Ok r -> r
-          | Error (e, bt) -> Server.isolated_response batch.(i).j_parsed.Server.id e bt
-        in
+    let seqs, jobs = List.split batch in
+    List.iter2
+      (fun seq (resp, tag) ->
         let kind = match tag with `Error k -> [ ("kind", Json.String k) ] | _ -> [] in
         emit_frame
           (Json.Obj
              ([
                 ("op", Json.String "resp");
-                ("seq", Json.Int batch.(i).j_seq);
+                ("seq", Json.Int seq);
                 ("tag", Json.String (tag_name tag));
               ]
              @ kind
              @ [ ("resp", resp) ])))
-      outcomes;
-    match journal with
-    | None -> ()
-    | Some j ->
-      Array.iter
-        (function Some s -> Resilience.Journal.mark_done j s | None -> ())
-        seqs;
-      Resilience.Journal.sync j
+      seqs
+      (Array.to_list (Server.run_batch sess (Array.of_list jobs)))
   in
   (* Supervision and chaos control frames, answered inline from the
      frame loop (a worker wedged inside a batch therefore stops
@@ -396,7 +334,7 @@ let worker_serve spec journal ~counters0 ~metrics0 =
         let count = ref 1 in
         let after = ref `Continue in
         while
-          !after = `Continue && !count < cfg.Serve_config.queue
+          !after = `Continue && !count < spec.w_cfg.Serve_config.queue
           && input_ready Unix.stdin
         do
           match read_frame Unix.stdin with
@@ -458,42 +396,15 @@ let worker_main spec_text =
       (match spec.w_jit with
       | None -> ()
       | Some (enabled, threshold) -> Request.set_default_jit ~enabled ~threshold);
-      match
-        match spec.w_cache with
-        | None -> Request.set_disk_cache None
-        | Some dir -> Request.set_disk_cache (Some (Cache.create ~dir))
-      with
+      let counters0 = Resilience.Counters.snapshot () in
+      let metrics0 = Metrics.snapshot () in
+      match Server.bootstrap ~shard:spec.w_shard ~cache_dir:spec.w_cache spec.w_cfg with
       | exception Cache.Diag_error d -> fail d
-      | () ->
-        let cfg = spec.w_cfg in
-        let counters0 = Resilience.Counters.snapshot () in
-        let metrics0 = Metrics.snapshot () in
-        if cfg.Serve_config.breaker > 0 then
-          Request.set_cache_breaker
-            (Some
-               (Resilience.Breaker.create ~threshold:cfg.Serve_config.breaker
-                  ~cooldown_s:(float_of_int cfg.Serve_config.breaker_cooldown_ms /. 1000.)
-                  ()));
-        let journal =
-          match cfg.Serve_config.journal with
-          | None -> None
-          | Some root ->
-            let dir = shard_journal_dir ~root spec.w_shard in
-            (* Same startup sequence as the single-process CLI: replay
-               what a crash interrupted, then start a fresh journal.
-               The replay line on (inherited) stderr is the operator's
-               crash-recovery audit trail. *)
-            let n = Server.replay_journal ~jobs:cfg.Serve_config.jobs ~dir () in
-            if n > 0 then
-              Printf.eprintf "disesim serve: replayed %d interrupted job%s from %s\n%!"
-                n (if n = 1 then "" else "s") dir;
-            Resilience.Journal.clear ~dir;
-            Some (Resilience.Journal.open_ ~dir)
-        in
-        let finish () =
-          match journal with None -> () | Some j -> Resilience.Journal.close j
-        in
-        (match worker_serve spec journal ~counters0 ~metrics0 with
+      | journal ->
+        let finish () = Option.iter Resilience.Journal.close journal in
+        (match
+           worker_serve spec (Server.session ?journal spec.w_cfg) ~counters0 ~metrics0
+         with
         | () -> finish ()
         | exception e ->
           finish ();
@@ -536,7 +447,7 @@ type lreq = {
   lr_quiet : bool;
       (* internal resubmission (journal replay): the response must not
          count as client traffic *)
-  lr_complete : tag:string -> Json.t -> unit;
+  lr_complete : tag:Server.tag -> Json.t -> unit;
   mutable lr_primary : int;  (* shard of the routed (non-hedge) leg *)
   mutable lr_legs : (int * int) list;  (* (shard, seq) still outstanding *)
   mutable lr_done : bool;
@@ -582,15 +493,10 @@ type t = {
   mutable ping_n : int;
   counters0 : (string * int) list;
   metrics0 : Metrics.snapshot;
+  metrics_tick : unit -> unit;
   mutable summaries : (int * Json.t) list;
   mutable shutting_down : bool;
-  (* stream-level tallies (both modes) *)
-  mutable s_served : int;
-  mutable s_errors : int;
-  mutable s_hits : int;
-  mutable s_timeouts : int;
-  mutable s_shed : int;
-  mutable s_isolated : int;
+  mutable written : Server.summary;  (* the socket front end's tally *)
   (* live admission state (socket mode) *)
   mutable inflight_work : int;
   tenant_inflight : (string, int) Hashtbl.t;
@@ -731,42 +637,27 @@ let submit ?(quiet = false) t (p : Server.parsed) req ~enq ~complete =
     Hashtbl.replace w.inflight seq lr;
     out_push w.wout (job_frame lr ~seq)
 
-(* Startup crash recovery across resharding. Per-shard journals are
-   named [<root>/worker-<shard>] after the ring that {e wrote} them;
-   restarting with a different [--workers] count would otherwise
-   replay each file on whichever worker happens to own that name now
-   (dropping shards past the new count outright) while the live ring
-   routes by request key. So the coordinator drains every shard
-   journal itself before the workers start — whatever the previous
-   tier's worker count was — and resubmits the entries through the
-   {e current} ring via {!submit}, where they are journaled afresh by
-   their new owners. Workers keep their own startup replay for the
+(* Startup crash recovery across resharding and modes. A journal
+   root may hold the in-process layout ([<root>/journal.jsonl]) and
+   per-shard journals named [<root>/worker-<shard>] after the ring
+   that {e wrote} them; restarting with a different [--workers] count
+   would otherwise replay each shard on whichever worker happens to
+   own that name now (dropping shards past the new count outright)
+   while the live ring routes by request key. So the coordinator
+   drains every layout itself before the workers start — whatever
+   mode and worker count wrote it — and resubmits the entries through
+   the {e current} ring via {!submit}, where they are journaled afresh
+   by their new owners. Workers keep their own startup replay for the
    mid-session respawn path, where shard ownership cannot have
    changed; they find empty directories here. *)
-let shard_of_journal_dirname name =
-  let prefix = "worker-" in
-  let plen = String.length prefix in
-  if String.length name > plen && String.sub name 0 plen = prefix then
-    int_of_string_opt (String.sub name plen (String.length name - plen))
-  else None
-
 let drain_orphan_journals root =
-  let names = match Sys.readdir root with
-    | names -> names
-    | exception Sys_error _ -> [||]
-  in
-  Array.sort compare names;
-  Array.to_list names
-  |> List.filter_map (fun name ->
-         match shard_of_journal_dirname name with
-         | None -> None
-         | Some _ -> (
-           let dir = Filename.concat root name in
-           match Resilience.Journal.pending ~dir with
-           | [] -> None
-           | pending ->
-             Resilience.Journal.clear ~dir;
-             Some (dir, List.map snd pending)))
+  Server.journal_dirs root
+  |> List.filter_map (fun dir ->
+         match Resilience.Journal.pending ~dir with
+         | [] -> None
+         | pending ->
+           Resilience.Journal.clear ~dir;
+           Some (dir, List.map snd pending))
 
 let resubmit_journal_docs t drained =
   List.iter
@@ -796,6 +687,7 @@ let resubmit_journal_docs t drained =
 let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking cfg =
   let workers_n = max 1 cfg.Serve_config.workers in
   let cfg = { cfg with Serve_config.workers = workers_n } in
+  let metrics0 = Metrics.snapshot () in
   let t =
     {
       cfg;
@@ -812,15 +704,13 @@ let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking cfg =
       chaos_requests = 0;
       ping_n = 0;
       counters0 = Resilience.Counters.snapshot ();
-      metrics0 = Metrics.snapshot ();
+      metrics0;
+      metrics_tick =
+        Server.metrics_ticker manifest ~every_s:cfg.Serve_config.metrics_every_s
+          ~since:metrics0;
       summaries = [];
       shutting_down = false;
-      s_served = 0;
-      s_errors = 0;
-      s_hits = 0;
-      s_timeouts = 0;
-      s_shed = 0;
-      s_isolated = 0;
+      written = Server.empty_summary;
       inflight_work = 0;
       tenant_inflight = Hashtbl.create 8;
       scratch = Bytes.create 65536;
@@ -861,32 +751,11 @@ let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking cfg =
   resubmit_journal_docs t drained;
   t
 
-(* Stream-level outcome bookkeeping — the same classification
-   [Server.serve_channel] applies, including the resilience-counter
-   bumps (workers don't bump timeout/shed counters themselves, so the
-   merged counter deltas count each event exactly once). *)
-let tally t ~tag ~kind =
-  t.s_served <- t.s_served + 1;
-  match tag with
-  | "hit" -> t.s_hits <- t.s_hits + 1
-  | "fresh" -> ()
-  | _ -> (
-    t.s_errors <- t.s_errors + 1;
-    match kind with
-    | Some "timeout" ->
-      t.s_timeouts <- t.s_timeouts + 1;
-      Resilience.Counters.incr Resilience.Counters.timeouts
-    | Some "overloaded" ->
-      t.s_shed <- t.s_shed + 1;
-      Resilience.Counters.incr Resilience.Counters.shed
-    | Some "internal" -> t.s_isolated <- t.s_isolated + 1
-    | _ -> ())
-
 (* Deliver the single client response of a logical request (via the
    worker [w] that answered) and retire every outstanding leg, so
    stragglers — a hedge sibling, a duplicate after a respawn race —
    find no table entry and are dropped. *)
-let complete_lreq t w lr ~tag ~kind resp =
+let complete_lreq t w lr ~tag resp =
   lr.lr_done <- true;
   List.iter
     (fun (shard, seq) -> Hashtbl.remove t.workers.(shard).inflight seq)
@@ -895,11 +764,10 @@ let complete_lreq t w lr ~tag ~kind resp =
   if not lr.lr_quiet then begin
     w.served <- w.served + 1;
     (match tag with
-    | "hit" -> w.hits <- w.hits + 1
-    | "fresh" -> w.misses <- w.misses + 1
-    | _ -> w.errs <- w.errs + 1);
+    | `Hit -> w.hits <- w.hits + 1
+    | `Fresh -> w.misses <- w.misses + 1
+    | `Error _ -> w.errs <- w.errs + 1);
     Metrics.Histogram.observe_s h_tier (Unix.gettimeofday () -. lr.lr_enq);
-    tally t ~tag ~kind;
     lr.lr_complete ~tag resp
   end
 
@@ -921,9 +789,9 @@ let abort_pending t w =
           (fun (shard, seq) -> Hashtbl.remove t.workers.(shard).inflight seq)
           lr.lr_legs;
         lr.lr_legs <- [];
-        lr.lr_complete ~tag:"error"
-          (Server.error_response lr.lr_id
-             (Diag.Internal "worker exited during shutdown"))
+        let d = Diag.Internal "worker exited during shutdown" in
+        lr.lr_complete ~tag:(`Error (Diag.category d))
+          (Server.error_response lr.lr_id d)
       end)
     pending
 
@@ -983,7 +851,7 @@ let fail_over t w ~reason =
   match t.cfg.Serve_config.journal with
   | None -> ()
   | Some root -> (
-    let dir = shard_journal_dir ~root w.shard in
+    let dir = Server.shard_journal_dir ~root w.shard in
     match Resilience.Journal.pending ~dir with
     | [] -> ()
     | docs ->
@@ -1056,10 +924,11 @@ let dispatch t w doc =
       lr.lr_legs <-
         List.filter (fun (s, q) -> not (s = w.shard && q = seq)) lr.lr_legs;
       let tag =
-        match Json.member "tag" doc with Some (Json.String s) -> s | _ -> "error"
-      in
-      let kind =
-        match Json.member "kind" doc with Some (Json.String s) -> Some s | _ -> None
+        match (Json.member "tag" doc, Json.member "kind" doc) with
+        | Some (Json.String "hit"), _ -> `Hit
+        | Some (Json.String "fresh"), _ -> `Fresh
+        | _, Some (Json.String k) -> `Error k
+        | _ -> `Error "internal"
       in
       let resp =
         match Json.member "resp" doc with
@@ -1069,7 +938,8 @@ let dispatch t w doc =
             (Diag.Internal "worker response without body")
       in
       if lr.lr_done then ()
-      else if tag = "error" && lr.lr_legs <> [] then
+      else if (match tag with `Error _ -> true | _ -> false) && lr.lr_legs <> []
+      then
         (* A hedge sibling is still racing; an error here must not beat
            a success there. If every leg errors, the last one answers
            the client. *)
@@ -1077,7 +947,7 @@ let dispatch t w doc =
       else begin
         if w.shard <> lr.lr_primary then
           Resilience.Counters.incr Resilience.Counters.hedge_wins;
-        complete_lreq t w lr ~tag ~kind resp
+        complete_lreq t w lr ~tag resp
       end)
   | Some (Json.String "pong") -> Resilience.Health.pong w.health
   | Some (Json.String "summary") ->
@@ -1171,11 +1041,13 @@ let hedge_worker t w =
     w.inflight
 
 (* One supervision pass, run from both event loops between selects:
-   send due heartbeats, flag gray failures (a request outliving
-   [hedge_p95x] times the tier p95 marks its worker Suspect), hedge
-   Suspect workers, and fail Dead ones over. *)
+   emit a due metrics snapshot, send due heartbeats, flag gray
+   failures (a request outliving [hedge_p95x] times the tier p95 marks
+   its worker Suspect), hedge Suspect workers, and fail Dead ones
+   over. *)
 let supervise t =
   let cfg = t.cfg in
+  t.metrics_tick ();
   if (not t.shutting_down) && cfg.Serve_config.heartbeat_ms > 0 then begin
     (* One tier-latency bound per pass, shared by every worker's
        gray-failure check; meaningless below a minimal sample. *)
@@ -1292,7 +1164,7 @@ let sum_counters base extra =
       | _ -> (k, v))
     base
 
-let merged_summary t =
+let merged_summary t (s : Server.summary) =
   let local_counters =
     List.map
       (fun (k, v) ->
@@ -1355,25 +1227,15 @@ let merged_summary t =
         ("degraded", Json.Bool (dead_shards <> []));
       ]
   in
-  let summary =
-    {
-      Server.served = t.s_served;
-      errors = t.s_errors;
-      cache_hits = t.s_hits;
-      timeouts = t.s_timeouts;
-      shed = t.s_shed;
-      isolated = t.s_isolated;
-    }
-  in
   let fields =
     [
       ("record", Json.String "serve_summary");
-      ("served", Json.Int t.s_served);
-      ("errors", Json.Int t.s_errors);
-      ("cache_hits", Json.Int t.s_hits);
-      ("timeouts", Json.Int t.s_timeouts);
-      ("shed", Json.Int t.s_shed);
-      ("isolated", Json.Int t.s_isolated);
+      ("served", Json.Int s.served);
+      ("errors", Json.Int s.errors);
+      ("cache_hits", Json.Int s.cache_hits);
+      ("timeouts", Json.Int s.timeouts);
+      ("shed", Json.Int s.shed);
+      ("isolated", Json.Int s.isolated);
       ("workers", Json.List workers_json);
       ("topology", topology);
       ("counters", Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters));
@@ -1381,14 +1243,14 @@ let merged_summary t =
     ]
   in
   (match t.manifest with None -> () | Some m -> Manifest.emit m fields);
-  summary
+  s
 
 (* Graceful tier teardown: queue a stop frame for every live worker,
    drain their summary frames (collecting late responses on the way),
    then reap. A worker that neither summarizes nor exits within the
    deadline is killed — shutdown must terminate even if a job is
-   wedged. *)
-let shutdown t =
+   wedged. [s] is the front end's tally of the responses it wrote. *)
+let shutdown t s =
   t.shutting_down <- true;
   Array.iter
     (fun w -> if w.alive then out_push w.wout (Lazy.force stop_frame))
@@ -1435,80 +1297,64 @@ let shutdown t =
         w.alive <- false
       end)
     t.workers;
-  merged_summary t
+  merged_summary t s
 
 (* --- channel mode ------------------------------------------------------- *)
 
-(* Batch-synchronous front end over one JSONL stream: read a chunk,
-   shed/route/submit, drain until every slot has its response, emit in
-   input order — the multi-process analogue of
-   [Server.serve_channel], byte-compatible on the wire. *)
-let channel_loop t ic oc =
-  let cfg = t.cfg in
-  let lineno = ref 0 in
-  let rec drain_until done_ =
-    if not (done_ ()) then begin
-      supervise t;
-      Array.iter (fun w -> flush_worker t w) t.workers;
-      let rs =
-        Array.to_list t.workers
-        |> List.filter_map (fun w -> if w.alive then Some w.from_w else None)
-      in
-      (* The select deadline bounds the supervision tick, so it must
-         stay well under the heartbeat interval. *)
-      (match Unix.select rs [] [] 0.2 with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | rready, _, _ ->
-        Array.iter
-          (fun w -> if w.alive && List.mem w.from_w rready then pump_worker t w)
-          t.workers);
-      drain_until done_
-    end
-  in
-  let rec loop () =
-    if not (Server.Stop.signalled t.stop) then
-      match Server.read_chunk ~stop:t.stop ic ~lineno cfg.Serve_config.queue with
-      | None -> ()
-      | Some chunk ->
-        let chunk = Server.admit cfg chunk in
-        let n = Array.length chunk in
-        let responses = Array.make n None in
-        let outstanding = ref 0 in
-        let enq = Unix.gettimeofday () in
-        Array.iteri
-          (fun i p ->
-            match p.Server.req with
-            | Error d ->
-              tally t ~tag:"error" ~kind:(Some (Diag.category d));
-              responses.(i) <- Some (Server.error_response p.Server.id d)
-            | Ok req ->
-              incr outstanding;
-              submit t p req ~enq ~complete:(fun ~tag:_ resp ->
-                  responses.(i) <- Some resp;
-                  decr outstanding);
-              chaos_tick t)
-          chunk;
-        drain_until (fun () -> !outstanding = 0);
-        Array.iter
-          (fun r ->
-            output_string oc (Json.to_string (Option.get r));
-            output_char oc '\n')
-          responses;
-        flush oc;
-        if n = cfg.Serve_config.queue then loop ()
-  in
-  loop ()
+(* Pump worker pipes (supervising between selects) until [done_]. The
+   select deadline bounds the supervision tick, so it must stay well
+   under the heartbeat interval. *)
+let rec drain_until t done_ =
+  if not (done_ ()) then begin
+    supervise t;
+    Array.iter (fun w -> flush_worker t w) t.workers;
+    let rs =
+      Array.to_list t.workers
+      |> List.filter_map (fun w -> if w.alive then Some w.from_w else None)
+    in
+    (match Unix.select rs [] [] 0.2 with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | rready, _, _ ->
+      Array.iter
+        (fun w -> if w.alive && List.mem w.from_w rready then pump_worker t w)
+        t.workers);
+    drain_until t done_
+  end
+
+(* The tier's batch executor for [Server.serve_channel]: route and
+   submit every admitted job, then drain until each has answered. *)
+let tier_batch t jobs =
+  let responses = Array.make (Array.length jobs) None in
+  let outstanding = ref 0 in
+  Array.iteri
+    (fun i (enq, (p : Server.parsed)) ->
+      match p.Server.req with
+      | Error d ->
+        responses.(i) <-
+          Some (Server.error_response p.Server.id d, `Error (Diag.category d))
+      | Ok req ->
+        incr outstanding;
+        submit t p req ~enq ~complete:(fun ~tag resp ->
+            responses.(i) <- Some (resp, tag);
+            decr outstanding);
+        chaos_tick t)
+    jobs;
+  drain_until t (fun () -> !outstanding = 0);
+  Array.map Option.get responses
 
 let run_channel ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ic oc =
   let t =
     create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking:false
       cfg
   in
-  match channel_loop t ic oc with
-  | () -> shutdown t
+  (* The coordinator owns telemetry: the stream's session gets no
+     manifest, and [shutdown] emits the merged summary. *)
+  let sess = Server.session ~stop:t.stop t.cfg in
+  match Server.serve_channel ~exec:(tier_batch t) sess ic oc with
+  | s -> shutdown t s
   | exception e ->
     let bt = Printexc.get_raw_backtrace () in
-    ignore (shutdown t);
+    ignore (shutdown t Server.empty_summary);
     Printexc.raise_with_backtrace e bt
 
 (* --- socket mode: the async front end ----------------------------------- *)
@@ -1535,12 +1381,12 @@ type conn = {
   mutable chits : int;
 }
 
-let conn_tally c ~tag =
+let conn_tally c (tag : Server.tag) =
   c.cserved <- c.cserved + 1;
   match tag with
-  | "hit" -> c.chits <- c.chits + 1
-  | "fresh" -> ()
-  | _ -> c.cerrors <- c.cerrors + 1
+  | `Hit -> c.chits <- c.chits + 1
+  | `Fresh -> ()
+  | `Error _ -> c.cerrors <- c.cerrors + 1
 
 (* Complete one slot and flush the in-order prefix to the
    connection's output queue. A closed connection still completes
@@ -1612,11 +1458,16 @@ let admit_live t (p : Server.parsed) req =
             | Some n -> Hashtbl.replace t.tenant_inflight tenant (n - 1)
           end))
 
+(* The socket front end writes every response, so it tallies each one
+   here, exactly once. *)
+let answer t c slot tag resp =
+  t.written <- Server.tally t.written tag;
+  conn_tally c tag;
+  finish_slot c slot resp
+
 let handle_parsed t c slot (p : Server.parsed) =
   let direct d =
-    tally t ~tag:"error" ~kind:(Some (Diag.category d));
-    conn_tally c ~tag:"error";
-    finish_slot c slot (Server.error_response p.Server.id d)
+    answer t c slot (`Error (Diag.category d)) (Server.error_response p.Server.id d)
   in
   match p.Server.req with
   | Error d -> direct d
@@ -1628,8 +1479,7 @@ let handle_parsed t c slot (p : Server.parsed) =
       submit t p req ~enq:(Unix.gettimeofday ()) ~complete:(fun ~tag resp ->
           Hashtbl.remove c.releases slot;
           release ();
-          conn_tally c ~tag;
-          finish_slot c slot resp);
+          answer t c slot tag resp);
       chaos_tick t)
 
 let process_line t c line =
@@ -1681,9 +1531,66 @@ let feed_conn t c data =
     end
     else Buffer.add_substring c.cbuf data !start (len - !start)
 
+(* Does a live server answer on [path]? Distinguishes "another
+   instance is running" (refuse to start — stealing its socket would
+   silently split the service) from a stale socket left by a crash
+   (safe to remove). *)
+let socket_live path =
+  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ -> false
+  | probe ->
+    Fun.protect
+      ~finally:(fun () -> try Unix.close probe with Unix.Unix_error _ -> ())
+      (fun () ->
+        match Unix.connect probe (Unix.ADDR_UNIX path) with
+        | () -> true
+        | exception Unix.Unix_error _ -> false)
+
+(* Claim [path] for a fresh listener: refuse if a live server answers,
+   reclaim a stale file, bind and listen. *)
+let listen_socket ~path =
+  if Sys.file_exists path then
+    if socket_live path then
+      raise
+        (Cache.Diag_error
+           (Diag.Overloaded
+              (Printf.sprintf
+                 "socket %s is in use by a live server; refusing to start \
+                  (stop the other instance or pick another path)"
+                 path)))
+    else (
+      (* Stale socket from a crashed server: safe to reclaim. *)
+      try Unix.unlink path with Unix.Unix_error _ -> ());
+  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  (try
+     Unix.bind sock (Unix.ADDR_UNIX path);
+     Unix.listen sock 64
+   with Unix.Unix_error (e, _, _) ->
+     Unix.close sock;
+     raise
+       (Cache.Diag_error
+          (Diag.Cache
+             (Printf.sprintf "cannot listen on %s: %s" path
+                (Unix.error_message e)))));
+  sock
+
+(* A client that hangs up mid-response must surface as a write error
+   on its connection — not as a process-killing SIGPIPE. *)
+let with_sigpipe_ignored f =
+  let prev =
+    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+    with Invalid_argument _ | Sys_error _ -> None
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      match prev with
+      | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
+      | None -> ())
+    f
+
 let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
-  Server.with_sigpipe_ignored @@ fun () ->
-  let sock = Server.listen_socket ~path in
+  with_sigpipe_ignored @@ fun () ->
+  let sock = listen_socket ~path in
   Unix.set_nonblock sock;
   (* Workers are spawned (and respawned) while connections are open;
      any fd not marked cloexec leaks into them. A worker holding a
@@ -1854,4 +1761,4 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
         end
       in
       loop ();
-      shutdown t)
+      shutdown t t.written)

@@ -1,6 +1,7 @@
 (** Sharded multi-process serve tier.
 
-    [disesim serve --workers N] runs this coordinator: [N] worker
+    [disesim serve --workers N] runs this coordinator, and so does
+    every [disesim serve --socket] (with at least one worker): [N] worker
     {e processes} (re-executions of the current binary, dispatched
     through {!worker_child_main} via the {!env_var} spawn
     environment), each owning one shard of the content-addressed
@@ -37,15 +38,17 @@
       shedding, the same policies as the in-process server, applied
       tier-wide; rejected jobs are answered ["overloaded"] by the
       coordinator without touching a worker;
-    - {e telemetry} — at shutdown each worker ships its counter and
-      metrics deltas; the coordinator folds them
-      ({!Dise_telemetry.Metrics.merge}) with its own and emits one
-      merged ["serve_summary"] manifest record with a per-worker
-      ["workers"] breakdown
-      (doc/schema/serve_summary.schema.json).
+    - {e telemetry} — every supervision tick may emit a
+      ["metrics_snapshot"] record of the coordinator's own metrics
+      delta (at most once per [metrics_every_s]); at shutdown each
+      worker ships its counter and metrics deltas, and the coordinator
+      folds them ({!Dise_telemetry.Metrics.merge}) with its own into
+      one merged ["serve_summary"] manifest record with a per-worker
+      ["workers"] breakdown (doc/schema/serve_summary.schema.json).
 
-    Responses are byte-compatible with {!Server}: a client cannot
-    tell [--workers 4] from the single-process server except by
+    Workers execute with {!Server.run_batch} after {!Server.bootstrap},
+    so responses are byte-compatible with in-process stdio serving: a
+    client cannot tell [--workers 4] from [--workers 0] except by
     throughput. See doc/serve-tier.md. *)
 
 val env_var : string
@@ -80,10 +83,11 @@ type chaos_action =
 val worker_child_main : unit -> unit
 (** Worker dispatch hook: call {e first} in any binary that may spawn
     workers (the CLI and the test runner do). Returns immediately in
-    a normal process; in a spawned worker it configures the cache,
-    breaker, and JIT from the spawn spec, replays and reopens its
-    journal shard, serves frames from stdin until EOF or a stop
-    frame, emits its summary frame, and [_exit]s. *)
+    a normal process; in a spawned worker it sets the JIT from the
+    spawn spec, runs {!Server.bootstrap} for its shard (cache,
+    breaker, journal shard replay → clear → open), serves frames from
+    stdin until EOF or a stop frame, emits its summary frame, and
+    [_exit]s. *)
 
 val run_channel :
   ?stop:Server.Stop.t ->
@@ -96,11 +100,11 @@ val run_channel :
   in_channel ->
   out_channel ->
   Server.summary
-(** Serve one JSONL stream through the worker tier
-    (batch-synchronous, like {!Server.serve_channel}: chunks of
-    [queue] lines, responses emitted in input order after each chunk
-    drains). Spawns [max 1 cfg.workers] workers on entry and tears
-    the tier down (merged summary included) before returning.
+(** Serve one JSONL stream through the worker tier: the stream runs
+    {!Server.serve_channel} with the tier as its batch executor, which
+    submits each admitted job of a chunk and drains until every one
+    has answered. Spawns [max 1 cfg.workers] workers on entry and
+    tears the tier down (merged summary included) before returning.
     [cache_dir]/[jit] configure the workers' result cache and JIT
     ([None] cache = caching off); [on_spawn] observes every (re)spawn
     — the fault-injection tests use it to aim SIGKILL. [chaos] is
@@ -133,7 +137,17 @@ val run_socket :
     connection, and all worker pipes in one thread. Each connection
     is an independent JSONL stream with in-order responses and a
     per-connection in-flight cap of [queue] (backpressure: the
-    coordinator simply stops reading a maxed-out connection).
-    Socket-claiming semantics are {!Server.listen_socket}'s. Returns
-    after {!Server.Stop.signal}: accepts stop, in-flight work drains
-    and flushes, workers are stopped and merged into the summary. *)
+    coordinator simply stops reading a maxed-out connection). A
+    connection that dies (client reset, I/O error) is counted
+    ([conn_failures]), logged, and survived; SIGPIPE is ignored for
+    the listener's lifetime. Returns after {!Server.Stop.signal}:
+    accepts stop, in-flight work drains and flushes, workers are
+    stopped and merged into the summary.
+
+    If [path] already exists, it is {e probed} first: when a live
+    server answers, this call refuses to start with
+    [Cache.Diag_error (Diag.Overloaded _)] (exit-code class 6) —
+    stealing the socket would silently split the service; only a dead
+    (stale) socket is unlinked and reclaimed. Raises
+    [Cache.Diag_error (Diag.Cache _)] if the socket cannot be
+    bound. *)

@@ -37,16 +37,43 @@ type summary = {
   isolated : int;
 }
 
+let empty_summary =
+  { served = 0; errors = 0; cache_hits = 0; timeouts = 0; shed = 0; isolated = 0 }
+
+type tag = [ `Hit | `Fresh | `Error of string ]
+
+(* The one response classification. Whichever front end writes a
+   response tallies it here, exactly once; the timeout and shed
+   resilience counters are bumped here too (workers never bump them),
+   so merged counter deltas count each event once. *)
+let tally s (tag : tag) =
+  let s = { s with served = s.served + 1 } in
+  match tag with
+  | `Hit -> { s with cache_hits = s.cache_hits + 1 }
+  | `Fresh -> s
+  | `Error cat -> (
+    let s = { s with errors = s.errors + 1 } in
+    match cat with
+    | "timeout" ->
+      Resilience.Counters.incr Resilience.Counters.timeouts;
+      { s with timeouts = s.timeouts + 1 }
+    | "overloaded" ->
+      Resilience.Counters.incr Resilience.Counters.shed;
+      { s with shed = s.shed + 1 }
+    | "internal" -> { s with isolated = s.isolated + 1 }
+    | _ -> s)
+
 type session = {
   cfg : Serve_config.t;
   stop : Stop.t;
   journal : Resilience.Journal.t option;
   manifest : Manifest.t option;
+  chaos : Resilience.Chaos.t;
 }
 
 let session ?stop ?journal ?manifest cfg =
   let stop = match stop with Some s -> s | None -> Stop.create () in
-  { cfg; stop; journal; manifest }
+  { cfg; stop; journal; manifest; chaos = Resilience.Chaos.of_env () }
 
 let config s = s.cfg
 let stop_signal s = s.stop
@@ -317,8 +344,8 @@ let quota_chunk ~tenant_quota chunk =
 
 (* Full admission pipeline over one in-flight window, in policy
    order: per-tenant fairness first, then the global work budget over
-   the survivors. Shared with the coordinator front end so a request
-   is shed identically whether the tier has 0 workers or 16. *)
+   the survivors. (The coordinator's socket front end applies the same
+   policies over its live in-flight set.) *)
 let admit cfg chunk =
   shed_chunk ~shed_above:cfg.Serve_config.shed_above
     (quota_chunk ~tenant_quota:cfg.Serve_config.tenant_quota chunk)
@@ -330,9 +357,55 @@ let journal_doc id req =
   | Json.Obj fields -> Json.Obj (("id", id) :: fields)
   | j -> j
 
+type executor = (float * parsed) array -> (Json.t * tag) array
+
+(* The in-process executor, shared by stdio serving and every worker
+   process. Durability point: every runnable job is journalled — and
+   the journal synced — before any of them executes, so a crash
+   mid-batch can lose work but never forget it. *)
+let run_batch sess jobs =
+  let o = sess.cfg in
+  let seqs =
+    match sess.journal with
+    | None -> [||]
+    | Some j ->
+      let seqs =
+        Array.map
+          (fun (_, p) ->
+            match p.req with
+            | Ok req -> Some (Resilience.Journal.append_begin j (journal_doc p.id req))
+            | Error _ -> None)
+          jobs
+      in
+      Resilience.Journal.sync j;
+      seqs
+  in
+  let outcomes =
+    Pool.run_outcomes ~jobs:o.Serve_config.jobs
+      ~probe:(fun _i ~domain:_ dur -> Metrics.Histogram.observe_s h_execute dur)
+      (Array.map
+         (fun (enqueued_at, p) () ->
+           run_parsed ~chaos:sess.chaos ~deadline_ms:o.Serve_config.deadline_ms
+             ~enqueued_at p)
+         jobs)
+  in
+  let responses =
+    Array.mapi
+      (fun i -> function
+        | Ok r -> r
+        | Error (e, bt) -> isolated_response (snd jobs.(i)).id e bt)
+      outcomes
+  in
+  (match sess.journal with
+  | None -> ()
+  | Some j ->
+    Array.iter (Option.iter (Resilience.Journal.mark_done j)) seqs;
+    Resilience.Journal.sync j);
+  responses
+
 (* Everything in the summary is a per-session delta: the counters and
    the metrics registry are process-wide (they survive across
-   connections), so each stream subtracts the snapshot it took before
+   sessions), so each stream subtracts the snapshot it took before
    reading its first chunk. *)
 let summary_fields ~counters0 ~metrics0 s =
   let counter_deltas =
@@ -359,39 +432,38 @@ let summary_fields ~counters0 ~metrics0 s =
   | None -> []
   | Some b -> [ ("breaker", Resilience.Breaker.to_json b) ]
 
-let emit_summary ~counters0 ~metrics0 m s =
-  Manifest.emit m (summary_fields ~counters0 ~metrics0 s)
+(* Periodic observability heartbeat: at most one "metrics_snapshot"
+   manifest record per [every_s], carrying the cumulative delta since
+   [since]. *)
+let metrics_ticker manifest ~every_s ~since =
+  match manifest with
+  | None -> fun () -> ()
+  | Some m ->
+    let last = ref (Unix.gettimeofday ()) in
+    fun () ->
+      let now = Unix.gettimeofday () in
+      if now -. !last >= every_s then begin
+        last := now;
+        Manifest.emit m
+          [
+            ("record", Json.String "metrics_snapshot");
+            ("metrics", Metrics.to_json (Metrics.delta ~since (Metrics.snapshot ())));
+          ]
+      end
 
-let serve_channel sess ic oc =
+let serve_channel ?exec sess ic oc =
   let o = sess.cfg in
-  let chaos = Resilience.Chaos.of_env () in
+  let exec = match exec with Some f -> f | None -> run_batch sess in
   let lineno = ref 0 in
-  let served = ref 0 and errors = ref 0 and hits = ref 0 in
-  let timeouts = ref 0 and shed = ref 0 and isolated = ref 0 in
+  let summary = ref empty_summary in
   (* Session baselines for per-stream deltas, taken before the first
      chunk is read. *)
   let counters0 = Resilience.Counters.snapshot () in
   let metrics0 = Metrics.snapshot () in
-  let last_metrics_emit = ref (Unix.gettimeofday ()) in
-  (* Periodic observability heartbeat: at most one "metrics_snapshot"
-     manifest record per [metrics_every_s], carrying the cumulative
-     session delta (chunk-granular — the loop only runs between
-     batches). *)
-  let maybe_emit_metrics () =
-    match sess.manifest with
-    | None -> ()
-    | Some m ->
-      let now = Unix.gettimeofday () in
-      if now -. !last_metrics_emit >= o.Serve_config.metrics_every_s then begin
-        last_metrics_emit := now;
-        Manifest.emit m
-          [
-            ("record", Json.String "metrics_snapshot");
-            ( "metrics",
-              Metrics.to_json (Metrics.delta ~since:metrics0 (Metrics.snapshot ()))
-            );
-          ]
-      end
+  (* Chunk-granular: the loop only runs between batches. *)
+  let metrics_tick =
+    metrics_ticker sess.manifest ~every_s:o.Serve_config.metrics_every_s
+      ~since:metrics0
   in
   let rec loop () =
     if not (Stop.signalled sess.stop) then
@@ -400,87 +472,21 @@ let serve_channel sess ic oc =
       | Some chunk ->
         let enqueued_at = Unix.gettimeofday () in
         let chunk = admit o chunk in
-        (* Durability point: every admitted job is journalled — and
-           the journal synced — before any of them executes, so a
-           crash mid-batch can lose work but never forget it. *)
-        let seqs =
-          match sess.journal with
-          | None -> [||]
-          | Some j ->
-            let seqs =
-              Array.map
-                (fun p ->
-                  match p.req with
-                  | Ok req ->
-                    Some (Resilience.Journal.append_begin j (journal_doc p.id req))
-                  | Error _ -> None)
-                chunk
-            in
-            Resilience.Journal.sync j;
-            seqs
-        in
-        let outcomes =
-          Pool.run_outcomes ~jobs:o.Serve_config.jobs
-            ~probe:(fun _i ~domain:_ dur ->
-              Metrics.Histogram.observe_s h_execute dur)
-            (Array.map
-               (fun p () ->
-                 run_parsed ~chaos ~deadline_ms:o.Serve_config.deadline_ms
-                   ~enqueued_at p)
-               chunk)
-        in
-        Array.iteri
-          (fun i outcome ->
-            let resp, tag =
-              match outcome with
-              | Ok r -> r
-              | Error (e, bt) -> isolated_response chunk.(i).id e bt
-            in
-            (match tag with
-            | `Error cat -> (
-              incr errors;
-              match cat with
-              | "timeout" ->
-                incr timeouts;
-                Resilience.Counters.incr Resilience.Counters.timeouts
-              | "overloaded" ->
-                incr shed;
-                Resilience.Counters.incr Resilience.Counters.shed
-              | "internal" -> incr isolated
-              | _ -> ())
-            | `Hit -> incr hits
-            | `Fresh -> ());
-            incr served;
+        Array.iter
+          (fun (resp, tag) ->
+            summary := tally !summary tag;
             output_string oc (Json.to_string resp);
             output_char oc '\n')
-          outcomes;
+          (exec (Array.map (fun p -> (enqueued_at, p)) chunk));
         flush oc;
-        (match sess.journal with
-        | None -> ()
-        | Some j ->
-          Array.iter
-            (function
-              | Some seq -> Resilience.Journal.mark_done j seq | None -> ())
-            seqs;
-          Resilience.Journal.sync j);
-        maybe_emit_metrics ();
+        metrics_tick ();
         if Array.length chunk = o.Serve_config.queue then loop ()
   in
   loop ();
-  let s =
-    {
-      served = !served;
-      errors = !errors;
-      cache_hits = !hits;
-      timeouts = !timeouts;
-      shed = !shed;
-      isolated = !isolated;
-    }
-  in
   (match sess.manifest with
   | None -> ()
-  | Some m -> emit_summary ~counters0 ~metrics0 m s);
-  s
+  | Some m -> Manifest.emit m (summary_fields ~counters0 ~metrics0 !summary));
+  !summary
 
 let pp_summary ppf s =
   Format.fprintf ppf "served %d job%s (%d error%s, %d cache hit%s)" s.served
@@ -527,107 +533,58 @@ let replay_journal ?jobs ~dir () =
     Resilience.Counters.add Resilience.Counters.journal_replayed n;
     n
 
-(* Does a live server answer on [path]? Distinguishes "another
-   instance is running" (refuse to start — stealing its socket would
-   silently split the service) from a stale socket left by a crash
-   (safe to remove). *)
-let socket_live path =
-  match Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 with
-  | exception Unix.Unix_error _ -> false
-  | probe ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close probe with Unix.Unix_error _ -> ())
-      (fun () ->
-        match Unix.connect probe (Unix.ADDR_UNIX path) with
-        | () -> true
-        | exception Unix.Unix_error _ -> false)
+(* --- journal layouts and process bootstrap ------------------------------ *)
 
-(* Claim [path] for a fresh listener: refuse if a live server answers,
-   reclaim a stale file, bind and listen. Shared with the coordinator
-   front end. *)
-let listen_socket ~path =
-  if Sys.file_exists path then
-    if socket_live path then
-      raise
-        (Cache.Diag_error
-           (Diag.Overloaded
-              (Printf.sprintf
-                 "socket %s is in use by a live server; refusing to start \
-                  (stop the other instance or pick another path)"
-                 path)))
-    else (
-      (* Stale socket from a crashed server: safe to reclaim. *)
-      try Unix.unlink path with Unix.Unix_error _ -> ());
-  let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  (try
-     Unix.bind sock (Unix.ADDR_UNIX path);
-     Unix.listen sock 64
-   with Unix.Unix_error (e, _, _) ->
-     Unix.close sock;
-     raise
-       (Cache.Diag_error
-          (Diag.Cache
-             (Printf.sprintf "cannot listen on %s: %s" path
-                (Unix.error_message e)))));
-  sock
+let shard_journal_dir ~root shard =
+  Filename.concat root (Printf.sprintf "worker-%d" shard)
 
-(* A client that hangs up mid-response must surface as [Sys_error] on
-   this connection's channel — not as a process-killing SIGPIPE. *)
-let with_sigpipe_ignored f =
-  let prev =
-    try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-    with Invalid_argument _ | Sys_error _ -> None
+let is_shard_dirname name =
+  let prefix = "worker-" in
+  let plen = String.length prefix in
+  String.length name > plen
+  && String.sub name 0 plen = prefix
+  && int_of_string_opt (String.sub name plen (String.length name - plen)) <> None
+
+(* Both journal layouts a [--journal] root can hold: the in-process
+   journal at the root itself, then every worker shard in name order. *)
+let journal_dirs root =
+  let names =
+    match Sys.readdir root with names -> names | exception Sys_error _ -> [||]
   in
-  Fun.protect
-    ~finally:(fun () ->
-      match prev with
-      | Some b -> ( try Sys.set_signal Sys.sigpipe b with _ -> ())
-      | None -> ())
-    f
+  Array.sort compare names;
+  root
+  :: (Array.to_list names
+     |> List.filter is_shard_dirname
+     |> List.map (Filename.concat root))
 
-let serve_socket sess ~path () =
-  with_sigpipe_ignored (fun () ->
-      let sock = listen_socket ~path in
-      let rec accept_loop () =
-        if not (Stop.signalled sess.stop) then begin
-          (match Unix.accept sock with
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error (e, _, _) ->
-            (* Transient accept failures (ECONNABORTED, EMFILE under fd
-               pressure): log, back off briefly, keep listening. *)
-            if not (Stop.signalled sess.stop) then begin
-              Format.eprintf "disesim serve: accept failed: %s@."
-                (Unix.error_message e);
-              Unix.sleepf 0.05
-            end
-          | conn, _ ->
-            let ic = Unix.in_channel_of_descr conn in
-            let oc = Unix.out_channel_of_descr conn in
-            let finish () =
-              (* One descriptor under both channels: flush the writer,
-                 close once, and mark the reader closed without touching
-                 the (already closed) fd again. *)
-              (try flush oc with Sys_error _ -> ());
-              (try Unix.close conn with Unix.Unix_error _ -> ());
-              close_in_noerr ic
-            in
-            (match serve_channel sess ic oc with
-            | s ->
-              finish ();
-              Format.eprintf "disesim serve: connection done: %a@." pp_summary s
-            | exception e ->
-              (* Connection-level containment: a stream that dies (client
-                 reset, I/O error, even a server bug) costs one
-                 connection, never the listener. *)
-              finish ();
-              Resilience.Counters.incr Resilience.Counters.conn_failures;
-              Format.eprintf "disesim serve: connection failed (isolated): %s@."
-                (Printexc.to_string e)));
-          accept_loop ()
-        end
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          (try Unix.close sock with Unix.Unix_error _ -> ());
-          try Unix.unlink path with Unix.Unix_error _ | Sys_error _ -> ())
-        accept_loop)
+let bootstrap ?shard ~cache_dir cfg =
+  Request.set_disk_cache (Option.map (fun dir -> Cache.create ~dir) cache_dir);
+  if cfg.Serve_config.breaker > 0 then
+    Request.set_cache_breaker
+      (Some
+         (Resilience.Breaker.create ~threshold:cfg.Serve_config.breaker
+            ~cooldown_s:(float_of_int cfg.Serve_config.breaker_cooldown_ms /. 1000.)
+            ()));
+  match cfg.Serve_config.journal with
+  | None -> None
+  | Some root ->
+    let dir, replayed =
+      match shard with
+      | None -> (root, journal_dirs root)
+      | Some s ->
+        let dir = shard_journal_dir ~root s in
+        (dir, [ dir ])
+    in
+    (* Replay what a crash interrupted, then start a fresh journal
+       (everything recorded is now either cached or just re-executed).
+       The replay line on stderr is the operator's crash-recovery
+       audit trail. *)
+    List.iter
+      (fun d ->
+        let n = replay_journal ~jobs:cfg.Serve_config.jobs ~dir:d () in
+        if n > 0 then
+          Format.eprintf "disesim serve: replayed %d interrupted job%s from %s@."
+            n (if n = 1 then "" else "s") d;
+        Resilience.Journal.clear ~dir:d)
+      replayed;
+    Some (Resilience.Journal.open_ ~dir)

@@ -2,10 +2,10 @@
 
     Reads one JSON request document per line, executes them on a
     domain pool in bounded chunks, and writes one JSON response per
-    line {e in input order}. This module is the single-process core:
-    the [disesim serve] CLI runs it directly over stdio or a Unix
-    socket, and {!Coordinator} runs one instance's machinery inside
-    each worker process of the sharded tier.
+    line {e in input order}. [disesim serve] runs {!serve_channel}
+    directly over stdio; every worker process of the {!Coordinator}
+    tier (which owns every socket) executes its batches with
+    {!run_batch} after the same {!bootstrap}.
 
     {b Wire envelope (v1).} Beside the {!Request} document proper, an
     input line may carry three envelope members (see doc/service.md
@@ -33,9 +33,11 @@
     desync from input order).
 
     {b Scheduling.} Jobs are read in chunks of at most [queue] lines
-    and each chunk fans out over the {!Pool} domains ([jobs] wide);
-    the next chunk is not read until the previous one's responses have
-    been written and flushed. The chunk is the backpressure unit.
+    and each chunk goes to one batch executor — {!run_batch} fans it
+    out over the {!Pool} domains ([jobs] wide), the coordinator's
+    executor over its worker processes; the next chunk is not read
+    until the previous one's responses have been written and flushed.
+    The chunk is the backpressure unit.
 
     {b Fault tolerance} (doc/resilience.md has the full semantics):
     job isolation under {!Pool.run_outcomes} (kind ["internal"]),
@@ -48,7 +50,8 @@
     flag, the journal and manifest handles — lives in an explicit
     {!session} value; stop signalling is per-session (see {!Stop}), so
     several servers (a coordinator's workers, a test harness) can run
-    in one process without sharing global flags. *)
+    in one process without sharing global flags. The chaos directives
+    ([DISESIM_SERVE_CHAOS]) are read when the session is built. *)
 
 val protocol_version : int
 (** The wire-envelope version this server speaks: [1]. *)
@@ -71,8 +74,7 @@ end
 
 type session
 (** A serving context: one {!Serve_config.t} plus optional
-    journal/manifest handles and a {!Stop.t}. One session may serve
-    many streams (e.g. every connection {!serve_socket} accepts). *)
+    journal/manifest handles and a {!Stop.t}. *)
 
 val session :
   ?stop:Stop.t ->
@@ -81,10 +83,9 @@ val session :
   Serve_config.t ->
   session
 (** Build a session. The journal and manifest handles remain owned by
-    the caller: [disesim serve] replays and clears the journal
-    {e before} opening it and hands the open handle in (workers do the
-    same for their shard's subdirectory). A fresh {!Stop.t} is created
-    when none is given. *)
+    the caller: {!bootstrap} replays and clears the journal {e before}
+    opening it and returns the open handle to hand in. A fresh
+    {!Stop.t} is created when none is given. *)
 
 val config : session -> Serve_config.t
 val stop_signal : session -> Stop.t
@@ -103,69 +104,21 @@ type summary = {
 (** Per-stream result summary; every field is a per-stream delta (the
     underlying counters and metrics are process-wide). *)
 
+val empty_summary : summary
+
+type tag = [ `Hit | `Fresh | `Error of string ]
+(** How one response turned out; [`Error] carries the
+    {!Dise_isa.Diag.category}. *)
+
+val tally : summary -> tag -> summary
+(** Count one written response, bumping the [timeouts] and [shed]
+    resilience counters for those kinds. Each response is tallied
+    exactly once, by the front end that writes it. *)
+
 val pp_summary : Format.formatter -> summary -> unit
 (** ["served N jobs (E errors, H cache hits)"], with a
     [" [T timed out, S shed, I isolated]"] suffix when any of those
     is nonzero. *)
-
-val serve_channel : session -> in_channel -> out_channel -> summary
-(** Serve one JSONL stream to completion (EOF or session stop).
-    Responses are flushed after every chunk. Used both by
-    [disesim serve] on stdin/stdout and per-connection in socket mode.
-
-    {b Observability.} Every request's latency is recorded in the
-    process-wide {!Dise_telemetry.Metrics} registry, split into
-    [serve_queue_wait_ns] (chunk admission to worker pickup),
-    [serve_execute_ns] (the pool's per-task wall-clock), and
-    [serve_request_ns] (end-to-end). With a manifest attached, the
-    stream emits ["metrics_snapshot"] records at most every
-    [metrics_every_s] seconds and one final ["serve_summary"] record
-    whose ["counters"] and ["metrics"] members are {e per-session
-    deltas} (doc/schema/serve_summary.schema.json validates the
-    record); request-latency quantiles live at
-    [metrics.histograms.serve_request_ns.p50/p95/p99]. *)
-
-val serve_socket : session -> path:string -> unit -> unit
-(** Listen on a Unix-domain socket at [path], serving connections
-    sequentially — each connection is one {!serve_channel} stream —
-    until the session is stopped. (The concurrent, multiplexed front
-    end lives in {!Coordinator}; this single-process mode favours
-    simplicity.) Per-connection summaries are reported on stderr, and
-    a connection that dies (client reset, I/O error, a contained
-    server bug) is counted ([conn_failures]), logged, and survived:
-    the listener keeps accepting. SIGPIPE is ignored for the
-    listener's lifetime so client hangups surface as per-connection
-    errors.
-
-    If [path] already exists, it is {e probed} first: when a live
-    server answers, this call refuses to start with
-    [Cache.Diag_error (Diag.Overloaded _)] (exit-code class 6) —
-    stealing the socket would silently split the service; only a dead
-    (stale) socket is unlinked and reclaimed. Raises
-    [Cache.Diag_error (Diag.Cache _)] if the socket cannot be
-    bound. *)
-
-val replay_journal : ?jobs:int -> dir:string -> unit -> int
-(** Re-run every job the journal at [dir] records as begun but not
-    done (a crash's leftovers), returning how many were replayed (0
-    when there is no journal). Each job re-enters through
-    {!Request.run_ext}, so completed work is a cache hit and
-    interrupted work lands in the result cache under its original
-    key — replay is idempotent. Per-job failures are logged and
-    skipped; the caller decides when to {!Resilience.Journal.clear}.
-    [disesim serve --journal DIR] calls this on startup before
-    opening the journal for the new run. *)
-
-val max_line_bytes : int
-(** Upper bound on one input line (1 MiB). Longer lines are consumed
-    up to the next newline and answered with a per-job ["parse"]
-    error naming the offending line number, never buffered whole. *)
-
-(** {1 Building blocks shared with the coordinator}
-
-    The sharded tier ({!Coordinator}) parses and answers on its front
-    end but executes in worker processes; these exports keep both
-    sides of the wire byte-identical with the single-process path. *)
 
 type parsed = {
   id : Dise_telemetry.Json.t;  (** the envelope ["id"]; [Null] if absent *)
@@ -181,60 +134,88 @@ val parse_job : lineno:int -> string -> parsed
     non-string ["tenant"], a decoder error) becomes
     [req = Error (Parse _)]. *)
 
-type raw_line = Line of string | Truncated | Eof
-
-val read_raw_line : in_channel -> raw_line
-(** Bounded [input_line]: a line longer than {!max_line_bytes} is
-    drained to the next newline and reported [Truncated]; a final
-    line without a trailing newline is a normal [Line]. *)
-
 val oversized_line : lineno:int -> parsed
-(** The parse-error slot a [Truncated] line occupies. *)
-
-val read_chunk :
-  stop:Stop.t -> in_channel -> lineno:int ref -> int -> parsed array option
-(** Read and parse up to [n] non-blank lines ([None] on immediate
-    EOF), bumping [lineno] per line read; stops early once [stop] is
-    signalled. The chunk reader behind {!serve_channel}, shared with
-    the coordinator's channel mode. *)
-
-val admit : Serve_config.t -> parsed array -> parsed array
-(** Admission control over one in-flight window: per-tenant quotas
-    first, then load shedding by cumulative [dyn_target]; rejected
-    jobs have their [req] replaced by an [Overloaded] error, in
-    place, preserving order. Shared verbatim by {!serve_channel} and
-    the coordinator front end. *)
-
-val isolated_response :
-  Dise_telemetry.Json.t ->
-  exn ->
-  Printexc.raw_backtrace ->
-  Dise_telemetry.Json.t * [ `Hit | `Fresh | `Error of string ]
-(** The kind-["internal"] response for a job {!Pool.run_outcomes}
-    isolated (counts it, logs the backtrace to stderr). *)
-
-val listen_socket : path:string -> Unix.file_descr
-(** Claim [path] for a fresh Unix-domain listener with the live-probe
-    semantics documented on {!serve_socket} (refuse a live server,
-    reclaim a stale file). The caller owns the returned descriptor
-    and the socket file. *)
-
-val with_sigpipe_ignored : (unit -> 'a) -> 'a
-(** Run [f] with SIGPIPE ignored (restored after), so peer hangups
-    surface as write errors instead of killing the process. *)
+(** The parse-error slot a line longer than {!max_line_bytes}
+    occupies. *)
 
 val error_response : Dise_telemetry.Json.t -> Dise_isa.Diag.t -> Dise_telemetry.Json.t
 (** [error_response id diag]: the v1 error response object. *)
 
-val run_parsed :
-  chaos:Resilience.Chaos.t ->
-  deadline_ms:int option ->
-  enqueued_at:float ->
-  parsed ->
-  Dise_telemetry.Json.t * [ `Hit | `Fresh | `Error of string ]
-(** Execute one parsed job and build its response, observing the
-    queue-wait and end-to-end latency histograms. The tag classifies
-    the outcome ([`Error] carries the {!Dise_isa.Diag.category}).
-    Chaos injection may raise: callers run this under
-    {!Pool.run_outcomes} and answer isolated exceptions with kind
-    ["internal"]. *)
+type executor = (float * parsed) array -> (Dise_telemetry.Json.t * tag) array
+(** A batch executor: answers every [(enqueued_at, job)] of one
+    admitted chunk, in order. Parse and admission failures
+    ([req = Error _]) are answered as errors without executing. *)
+
+val run_batch : session -> executor
+(** The in-process executor: journal each runnable job's begin and
+    fsync, run the batch on {!Pool.run_outcomes}, answer isolated
+    exceptions with kind ["internal"], then mark each job done and
+    fsync. Stdio serving and every worker process use it. *)
+
+val serve_channel :
+  ?exec:executor -> session -> in_channel -> out_channel -> summary
+(** Serve one JSONL stream to completion (EOF or session stop): read
+    a chunk, admit it (per-tenant quotas, then load shedding by
+    cumulative [dyn_target]), hand it to [exec] (default
+    [run_batch session]), tally and write the responses in input
+    order, flush. Used by [disesim serve] on stdin/stdout, with
+    {!run_batch} in-process or the coordinator's executor under
+    [--workers].
+
+    {b Observability.} Every request's latency is recorded in the
+    process-wide {!Dise_telemetry.Metrics} registry, split into
+    [serve_queue_wait_ns] (chunk admission to worker pickup),
+    [serve_execute_ns] (the pool's per-task wall-clock), and
+    [serve_request_ns] (end-to-end). With a manifest attached, the
+    stream emits ["metrics_snapshot"] records at most every
+    [metrics_every_s] seconds and one final ["serve_summary"] record
+    whose ["counters"] and ["metrics"] members are {e per-session
+    deltas} (doc/schema/serve_summary.schema.json validates the
+    record); request-latency quantiles live at
+    [metrics.histograms.serve_request_ns.p50/p95/p99]. *)
+
+val metrics_ticker :
+  Dise_telemetry.Manifest.t option ->
+  every_s:float ->
+  since:Dise_telemetry.Metrics.snapshot ->
+  unit ->
+  unit
+(** [metrics_ticker m ~every_s ~since] is a tick function that emits
+    a ["metrics_snapshot"] record (the registry delta since [since])
+    to [m] at most once per [every_s] seconds; a no-op without a
+    manifest. *)
+
+val replay_journal : ?jobs:int -> dir:string -> unit -> int
+(** Re-run every job the journal at [dir] records as begun but not
+    done (a crash's leftovers), returning how many were replayed (0
+    when there is no journal). Each job re-enters through
+    {!Request.run_ext}, so completed work is a cache hit and
+    interrupted work lands in the result cache under its original
+    key — replay is idempotent. Per-job failures are logged and
+    skipped; the caller decides when to {!Resilience.Journal.clear}.
+    {!bootstrap} calls this on startup before opening the journal for
+    the new run. *)
+
+val shard_journal_dir : root:string -> int -> string
+(** [<root>/worker-<shard>]: the journal of one worker shard. *)
+
+val journal_dirs : string -> string list
+(** Every journal layout under a [--journal] root: the root itself
+    (the in-process journal), then each [worker-<N>] shard in name
+    order. *)
+
+val bootstrap :
+  ?shard:int -> cache_dir:string option -> Serve_config.t -> Resilience.Journal.t option
+(** Set up a serving process: install the disk result cache at
+    [cache_dir] ([None] = caching off) and the cache breaker (when
+    [breaker > 0]), then, with a journal root configured, replay →
+    clear → open. Without [shard] (in-process stdio serving) every
+    layout under the root is replayed ({!journal_dirs}) and the
+    journal opens at the root; a worker passes its [shard] and
+    replays and reopens only {!shard_journal_dir}. Raises
+    [Cache.Diag_error] if the cache directory is unusable. *)
+
+val max_line_bytes : int
+(** Upper bound on one input line (1 MiB). Longer lines are consumed
+    up to the next newline and answered with a per-job ["parse"]
+    error naming the offending line number, never buffered whole. *)

@@ -130,9 +130,9 @@ let serve_exchange ~path (reqs : Request.t array) =
           output_char oc '\n')
         reqs;
       flush oc;
-      (* Half-close: the server's chunk reader batches until EOF (or
-         its queue fills), so the write side must end for a batch
-         smaller than the server's queue to be served. *)
+      (* Half-close: this is how the client ends its batch; the tier
+         answers every line it has read and closes the connection
+         once the write side has ended. *)
       Unix.shutdown fd Unix.SHUTDOWN_SEND;
       Array.mapi
         (fun i _ ->

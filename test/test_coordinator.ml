@@ -11,6 +11,7 @@ module Json_schema = Dise_telemetry.Json_schema
 module Manifest = Dise_telemetry.Manifest
 module Diag = Dise_isa.Diag
 module Request = Dise_service.Request
+module Cache = Dise_service.Cache
 module Server = Dise_service.Server
 module Serve_config = Dise_service.Serve_config
 module Shard = Dise_service.Shard
@@ -843,6 +844,145 @@ let test_scheduled_chaos () =
     true
     (report.Dise_fuzz.Faults.failures = [])
 
+(* --- journal recovery across serving modes ------------------------------ *)
+
+(* Restore the process-wide cache and breaker a test's bootstrap
+   installed. *)
+let with_saved_cache f =
+  let cache = Request.disk_cache () and breaker = Request.cache_breaker () in
+  Fun.protect
+    ~finally:(fun () ->
+      Request.set_disk_cache cache;
+      Request.set_cache_breaker breaker;
+      Request.clear_memory ())
+    f
+
+(* An in-process server that crashed left its journal at the root
+   ([<root>/journal.jsonl]); a tier started on the same root must
+   replay it through its ring. *)
+let test_tier_replays_root_journal () =
+  with_temp_dir (fun dir ->
+      let jroot = Filename.concat dir "journal" in
+      let cdir = Filename.concat dir "cache" in
+      let req = Request.v ~dyn_target:24_401 "tiny" in
+      let j = Journal.open_ ~dir:jroot in
+      ignore (Journal.append_begin j (Request.to_json req));
+      Journal.close j;
+      let empty = Filename.concat dir "empty.jsonl" in
+      close_out (open_out empty);
+      let mbuf = Buffer.create 4096 in
+      let ic = open_in empty and oc = open_out (Filename.concat dir "out.jsonl") in
+      let summary =
+        Fun.protect
+          ~finally:(fun () ->
+            close_in_noerr ic;
+            close_out_noerr oc)
+          (fun () ->
+            Coordinator.run_channel ~manifest:(Manifest.to_buffer mbuf)
+              ~cache_dir:cdir
+              (Serve_config.of_flags ~workers:1 ~jobs:1 ~journal:jroot ())
+              ic oc)
+      in
+      check int_ "empty stream serves nothing" 0 summary.Server.served;
+      let record =
+        merged_record
+          (String.split_on_char '\n' (Buffer.contents mbuf)
+          |> List.filter (fun l -> l <> "")
+          |> List.map Json.parse)
+      in
+      (match Json.member "counters" record with
+      | Some (Json.Obj counters) ->
+        check bool_ "the root-level entry replayed" true
+          (List.assoc_opt "journal_replayed" counters = Some (Json.Int 1))
+      | _ -> Alcotest.fail "merged record lacks counters");
+      check bool_ "replayed job landed in the result cache" true
+        (Cache.find (Cache.create ~dir:cdir) ~key:(Request.key req) <> None);
+      check int_ "root journal cleared" 0 (List.length (Journal.pending ~dir:jroot)))
+
+(* The reverse: a tier that crashed left a [worker-0] shard; the
+   in-process stdio server started on the same root must replay it. *)
+let test_inproc_replays_shard_journal () =
+  with_temp_dir (fun dir ->
+      let jroot = Filename.concat dir "journal" in
+      let cdir = Filename.concat dir "cache" in
+      let req = Request.v ~dyn_target:24_402 "tiny" in
+      plant_journal ~jroot ~shard:0 [ Request.to_json req ];
+      with_saved_cache (fun () ->
+          let cfg = Serve_config.of_flags ~jobs:1 ~journal:jroot ~breaker:0 () in
+          let replayed () =
+            Resilience.Counters.get Resilience.Counters.journal_replayed
+          in
+          let replayed0 = replayed () in
+          let journal = Server.bootstrap ~cache_dir:(Some cdir) cfg in
+          let empty = Filename.concat dir "empty.jsonl" in
+          close_out (open_out empty);
+          let ic = open_in empty and oc = open_out (Filename.concat dir "out.jsonl") in
+          let summary =
+            Fun.protect
+              ~finally:(fun () ->
+                Option.iter Journal.close journal;
+                close_in_noerr ic;
+                close_out_noerr oc)
+              (fun () -> Server.serve_channel (Server.session ?journal cfg) ic oc)
+          in
+          check int_ "empty stream serves nothing" 0 summary.Server.served;
+          check int_ "the worker-0 entry replayed" 1 (replayed () - replayed0);
+          check bool_ "replayed job landed in the result cache" true
+            (Cache.find (Cache.create ~dir:cdir) ~key:(Request.key req) <> None);
+          check int_ "shard journal cleared" 0
+            (List.length
+               (Journal.pending ~dir:(Server.shard_journal_dir ~root:jroot 0)))))
+
+(* --- the event loop's periodic metrics ----------------------------------- *)
+
+let test_socket_metrics_snapshots () =
+  with_temp_dir (fun dir ->
+      let path = Filename.concat dir "tier.sock" in
+      let mbuf = Buffer.create 4096 in
+      let stop = Server.Stop.create () in
+      let tier =
+        Domain.spawn (fun () ->
+            Coordinator.run_socket ~stop ~manifest:(Manifest.to_buffer mbuf)
+              (Serve_config.of_flags ~workers:1 ~jobs:1 ~metrics_every_s:0. ())
+              ~path ())
+      in
+      let rec wait_sock n =
+        if n = 0 then Alcotest.fail "socket never appeared";
+        if not (Sys.file_exists path) then begin
+          Unix.sleepf 0.05;
+          wait_sock (n - 1)
+        end
+      in
+      let summary =
+        Fun.protect
+          ~finally:(fun () -> Server.Stop.signal stop)
+          (fun () ->
+            wait_sock 100;
+            let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+            Unix.connect fd (Unix.ADDR_UNIX path);
+            let ic = Unix.in_channel_of_descr fd in
+            let line = job ~dyn:24_403 1 ^ "\n" in
+            ignore (Unix.write_substring fd line 0 (String.length line));
+            Unix.shutdown fd Unix.SHUTDOWN_SEND;
+            let r = Json.parse (input_line ic) in
+            close_in ic;
+            check bool_ "the job answered ok" true (member "ok" r = Json.Bool true);
+            Server.Stop.signal stop;
+            Domain.join tier)
+      in
+      check int_ "one job served" 1 summary.Server.served;
+      let snapshots =
+        String.split_on_char '\n' (Buffer.contents mbuf)
+        |> List.filter (fun l -> l <> "")
+        |> List.map Json.parse
+        |> List.filter (fun r ->
+               Json.member "record" r = Some (Json.String "metrics_snapshot"))
+      in
+      check bool_ "the event loop emitted metrics snapshots" true (snapshots <> []);
+      List.iter
+        (fun r -> assert_valid ~schema:(load_schema "metrics.schema.json") (member "metrics" r))
+        snapshots)
+
 let suite =
   [
     Alcotest.test_case "serve_config round-trip" `Quick
@@ -860,6 +1000,12 @@ let suite =
       test_coordinator_journal_shard_replay;
     Alcotest.test_case "journal replay across resharding" `Quick
       test_coordinator_journal_reshard_replay;
+    Alcotest.test_case "tier replays the in-process root journal" `Quick
+      test_tier_replays_root_journal;
+    Alcotest.test_case "in-process server replays worker shards" `Quick
+      test_inproc_replays_shard_journal;
+    Alcotest.test_case "socket event loop emits metrics snapshots" `Quick
+      test_socket_metrics_snapshots;
     Alcotest.test_case "write_all vs nonblocking full pipe" `Quick
       test_write_all_nonblocking_pipe;
     Alcotest.test_case "quota released on connection failure" `Quick

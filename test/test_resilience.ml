@@ -489,13 +489,19 @@ let test_socket_supervision () =
       let sess =
         Server.session ~stop (Serve_config.of_flags ~jobs:1 ~queue:2 ())
       in
-      let server = Domain.spawn (fun () -> Server.serve_socket sess ~path ()) in
+      let server =
+        Domain.spawn (fun () ->
+            ignore
+              (Dise_service.Coordinator.run_socket
+                 ~stop:(Server.stop_signal sess)
+                 (Server.config sess) ~path ()))
+      in
       Fun.protect
         ~finally:(fun () -> Server.Stop.signal stop)
         (fun () ->
           wait_until_live path;
-          (* Two concurrent connections: served sequentially, both
-             must get their own correct responses. *)
+          (* Two concurrent connections, multiplexed by the event
+             loop: each must get its own correct response. *)
           let c1 =
             Domain.spawn (fun () -> connect_client path [ job ~dyn:22_031 1 ])
           in
@@ -511,9 +517,9 @@ let test_socket_supervision () =
           (* A second server on the same live socket must refuse with
              the busy diagnostic (exit-code class 6), not steal it. *)
           (match
-             Server.serve_socket
-               (Server.session (Serve_config.default ()))
-               ~path ()
+             ignore
+               (Dise_service.Coordinator.run_socket (Serve_config.default ())
+                  ~path ())
            with
           | () -> Alcotest.fail "second server started on a live socket"
           | exception Cache.Diag_error (Diag.Overloaded _ as d) ->
