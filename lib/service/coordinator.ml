@@ -124,12 +124,6 @@ let rec write_all fd s off =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       write_all fd s off
 
-let input_ready fd =
-  match Unix.select [ fd ] [] [] 0. with
-  | [ _ ], _, _ -> true
-  | _ -> false
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> false
-
 (* Incremental frame reader for select-driven reads: bytes accumulate
    in [ibuf] and complete frames are peeled off as they arrive. *)
 type instream = { ibuf : Buffer.t }
@@ -335,7 +329,7 @@ let worker_serve spec sess ~counters0 ~metrics0 =
         let after = ref `Continue in
         while
           !after = `Continue && !count < spec.w_cfg.Serve_config.queue
-          && input_ready Unix.stdin
+          && Server.input_ready Unix.stdin
         do
           match read_frame Unix.stdin with
           | None -> after := `Eof
@@ -357,19 +351,15 @@ let worker_serve spec sess ~counters0 ~metrics0 =
      coordinator scans for past any module-init stdout pollution. *)
   write_all Unix.stdout (hello_frame spec.w_shard) 0;
   loop ();
-  let counter_deltas =
-    List.map
-      (fun (k, v) ->
-        let v0 = Option.value (List.assoc_opt k counters0) ~default:0 in
-        (k, Json.Int (v - v0)))
-      (Resilience.Counters.snapshot ())
-  in
   emit_frame
     (Json.Obj
        [
          ("op", Json.String "summary");
          ("shard", Json.Int spec.w_shard);
-         ("counters", Json.Obj counter_deltas);
+         ( "counters",
+           Json.Obj
+             (List.map (fun (k, v) -> (k, Json.Int v)) (Server.counters_since counters0))
+         );
          ("metrics", Metrics.to_json (Metrics.delta ~since:metrics0 (Metrics.snapshot ())));
        ])
 
@@ -496,10 +486,8 @@ type t = {
   metrics_tick : unit -> unit;
   mutable summaries : (int * Json.t) list;
   mutable shutting_down : bool;
-  mutable written : Server.summary;  (* the socket front end's tally *)
-  (* live admission state (socket mode) *)
-  mutable inflight_work : int;
-  tenant_inflight : (string, int) Hashtbl.t;
+  mutable written : Server.summary;  (* retired socket connections' tallies *)
+  admission : Server.Admission.t;  (* socket mode: every live job *)
   scratch : Bytes.t;
 }
 
@@ -612,10 +600,10 @@ let job_frame lr ~seq =
 (* Route by result-cache key: identical requests always reach the
    same worker, whose memory and journal shard own that slice of the
    keyspace. *)
-let submit ?(quiet = false) t (p : Server.parsed) req ~enq ~complete =
+let submit ?(quiet = false) t (p : Server.parsed) ~enq ~complete =
   match p.Server.req with
   | Error _ -> invalid_arg "Coordinator.submit: unrunnable job"
-  | Ok _ ->
+  | Ok req ->
     let key = Request.key req in
     let shard = Shard.route t.ring key in
     let w = t.workers.(shard) in
@@ -679,7 +667,7 @@ let resubmit_journal_docs t drained =
               { Server.id; version = Server.protocol_version; tenant = None;
                 req = Ok req }
             in
-            submit ~quiet:true t p req ~enq:(Unix.gettimeofday ())
+            submit ~quiet:true t p ~enq:(Unix.gettimeofday ())
               ~complete:(fun ~tag:_ _ -> ()))
         docs)
     drained
@@ -711,8 +699,7 @@ let create ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit ~nonblocking cfg =
       summaries = [];
       shutting_down = false;
       written = Server.empty_summary;
-      inflight_work = 0;
-      tenant_inflight = Hashtbl.create 8;
+      admission = Server.Admission.create cfg;
       scratch = Bytes.create 65536;
     }
   in
@@ -1165,20 +1152,14 @@ let sum_counters base extra =
     base
 
 let merged_summary t (s : Server.summary) =
-  let local_counters =
-    List.map
-      (fun (k, v) ->
-        let v0 = Option.value (List.assoc_opt k t.counters0) ~default:0 in
-        (k, v - v0))
-      (Resilience.Counters.snapshot ())
-  in
   let counters =
     List.fold_left
       (fun acc (_, doc) ->
         match Json.member "counters" doc with
         | Some (Json.Obj kvs) -> sum_counters acc kvs
         | _ -> acc)
-      local_counters t.summaries
+      (Server.counters_since t.counters0)
+      t.summaries
   in
   let metrics =
     List.fold_left
@@ -1332,9 +1313,9 @@ let tier_batch t jobs =
       | Error d ->
         responses.(i) <-
           Some (Server.error_response p.Server.id d, `Error (Diag.category d))
-      | Ok req ->
+      | Ok _ ->
         incr outstanding;
-        submit t p req ~enq ~complete:(fun ~tag resp ->
+        submit t p ~enq ~complete:(fun ~tag resp ->
             responses.(i) <- Some (resp, tag);
             decr outstanding);
         chaos_tick t)
@@ -1362,10 +1343,8 @@ let run_channel ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ic oc =
 type conn = {
   fd : Unix.file_descr;
   cid : int;
-  cbuf : Buffer.t;  (* partial input line *)
-  mutable oversized : bool;  (* discarding an over-long line's tail *)
+  lines : Server.Lines.t;
   cout : outstream;
-  mutable lineno : int;
   mutable next_slot : int;
   mutable next_emit : int;
   ready : (int, Json.t) Hashtbl.t;
@@ -1376,17 +1355,8 @@ type conn = {
   mutable pending : int;
   mutable eof : bool;
   mutable closed : bool;
-  mutable cserved : int;
-  mutable cerrors : int;
-  mutable chits : int;
+  mutable tally : Server.summary;
 }
-
-let conn_tally c (tag : Server.tag) =
-  c.cserved <- c.cserved + 1;
-  match tag with
-  | `Hit -> c.chits <- c.chits + 1
-  | `Fresh -> ()
-  | `Error _ -> c.cerrors <- c.cerrors + 1
 
 (* Complete one slot and flush the in-order prefix to the
    connection's output queue. A closed connection still completes
@@ -1406,130 +1376,38 @@ let finish_slot c slot resp =
     done
   end
 
-(* Live-window admission, the event-loop counterpart of
-   [Server.admit]: the same policies (per-tenant quota, then the
-   cumulative [dyn_target] budget) applied against what is currently
-   in flight across all connections rather than within one chunk. *)
-let admit_live t (p : Server.parsed) req =
-  let cfg = t.cfg in
-  let tenant = Option.value p.Server.tenant ~default:"" in
-  let quota_ok =
-    match cfg.Serve_config.tenant_quota with
-    | None -> Ok ()
-    | Some q ->
-      let q = max 1 q in
-      let n = Option.value (Hashtbl.find_opt t.tenant_inflight tenant) ~default:0 in
-      if n >= q then
-        Error
-          (Diag.Overloaded
-             (Printf.sprintf
-                "tenant quota: %s already has %d jobs in flight (quota %d)"
-                (if tenant = "" then "the anonymous tenant"
-                 else Printf.sprintf "tenant %S" tenant)
-                n q))
-      else Ok ()
-  in
-  match quota_ok with
-  | Error d -> Error d
-  | Ok () -> (
-    let w = req.Request.dyn_target in
-    match cfg.Serve_config.shed_above with
-    | Some hw when t.inflight_work > 0 && t.inflight_work + w > hw ->
-      Error
-        (Diag.Overloaded
-           (Printf.sprintf
-              "load shed: job of %d dynamic instructions would push the \
-               in-flight work past the high-water mark of %d"
-              w hw))
-    | _ ->
-      Hashtbl.replace t.tenant_inflight tenant
-        (Option.value (Hashtbl.find_opt t.tenant_inflight tenant) ~default:0 + 1);
-      t.inflight_work <- t.inflight_work + w;
-      (* Idempotent: a dead connection's releases run eagerly from
-         [fail_conn] and again when the worker's response arrives. *)
-      let released = ref false in
-      Ok
-        (fun () ->
-          if not !released then begin
-            released := true;
-            t.inflight_work <- t.inflight_work - w;
-            match Hashtbl.find_opt t.tenant_inflight tenant with
-            | Some 1 | None -> Hashtbl.remove t.tenant_inflight tenant
-            | Some n -> Hashtbl.replace t.tenant_inflight tenant (n - 1)
-          end))
-
 (* The socket front end writes every response, so it tallies each one
    here, exactly once. *)
-let answer t c slot tag resp =
-  t.written <- Server.tally t.written tag;
-  conn_tally c tag;
+let answer c slot tag resp =
+  c.tally <- Server.tally c.tally tag;
   finish_slot c slot resp
 
-let handle_parsed t c slot (p : Server.parsed) =
-  let direct d =
-    answer t c slot (`Error (Diag.category d)) (Server.error_response p.Server.id d)
-  in
-  match p.Server.req with
-  | Error d -> direct d
-  | Ok req -> (
-    match admit_live t p req with
-    | Error d -> direct d
-    | Ok release ->
-      Hashtbl.replace c.releases slot release;
-      submit t p req ~enq:(Unix.gettimeofday ()) ~complete:(fun ~tag resp ->
-          Hashtbl.remove c.releases slot;
-          release ();
-          answer t c slot tag resp);
-      chaos_tick t)
-
-let process_line t c line =
-  c.lineno <- c.lineno + 1;
-  if String.trim line <> "" then begin
-    let slot = c.next_slot in
-    c.next_slot <- slot + 1;
-    c.pending <- c.pending + 1;
-    handle_parsed t c slot (Server.parse_job ~lineno:c.lineno line)
-  end
-
-let oversized_slot t c =
-  c.lineno <- c.lineno + 1;
+(* Give one framed job the connection's next response slot, admit it
+   against everything in flight, and route it. *)
+let handle_job t c (p : Server.parsed) =
   let slot = c.next_slot in
   c.next_slot <- slot + 1;
   c.pending <- c.pending + 1;
-  handle_parsed t c slot (Server.oversized_line ~lineno:c.lineno)
+  match Server.Admission.admit t.admission p with
+  | Error d ->
+    answer c slot (`Error (Diag.category d)) (Server.error_response p.Server.id d)
+  | Ok release ->
+    Hashtbl.replace c.releases slot release;
+    submit t p ~enq:(Unix.gettimeofday ()) ~complete:(fun ~tag resp ->
+        Hashtbl.remove c.releases slot;
+        release ();
+        answer c slot tag resp);
+    chaos_tick t
 
-(* Split freshly read bytes into lines, honoring the 1 MiB line bound
-   the way [Server.read_raw_line] does: an over-long line is
-   discarded up to its newline and costs one parse-error slot. *)
-let feed_conn t c data =
-  let len = String.length data in
-  let start = ref 0 in
-  for i = 0 to len - 1 do
-    if data.[i] = '\n' then begin
-      let seg = i - !start in
-      if c.oversized then begin
-        c.oversized <- false;
-        oversized_slot t c
-      end
-      else if Buffer.length c.cbuf + seg > Server.max_line_bytes then begin
-        Buffer.clear c.cbuf;
-        oversized_slot t c
-      end
-      else begin
-        let line = Buffer.contents c.cbuf ^ String.sub data !start seg in
-        Buffer.clear c.cbuf;
-        process_line t c line
-      end;
-      start := i + 1
-    end
-  done;
-  if !start < len then
-    if c.oversized then ()
-    else if Buffer.length c.cbuf + (len - !start) > Server.max_line_bytes then begin
-      Buffer.clear c.cbuf;
-      c.oversized <- true
-    end
-    else Buffer.add_substring c.cbuf data !start (len - !start)
+let add_summary (a : Server.summary) (b : Server.summary) =
+  {
+    Server.served = a.served + b.served;
+    errors = a.errors + b.errors;
+    cache_hits = a.cache_hits + b.cache_hits;
+    timeouts = a.timeouts + b.timeouts;
+    shed = a.shed + b.shed;
+    isolated = a.isolated + b.isolated;
+  }
 
 (* Does a live server answer on [path]? Distinguishes "another
    instance is running" (refuse to start — stealing its socket would
@@ -1607,15 +1485,8 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
     if not c.closed then begin
       c.closed <- true;
       (try Unix.close c.fd with Unix.Unix_error _ -> ());
-      Format.eprintf
-        "disesim serve: connection %d done: served %d job%s (%d error%s, %d \
-         cache hit%s)@."
-        c.cid c.cserved
-        (if c.cserved = 1 then "" else "s")
-        c.cerrors
-        (if c.cerrors = 1 then "" else "s")
-        c.chits
-        (if c.chits = 1 then "" else "s")
+      Format.eprintf "disesim serve: connection %d done: %a@." c.cid
+        Server.pp_summary c.tally
     end
   in
   let fail_conn c reason =
@@ -1624,6 +1495,7 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
       Format.eprintf "disesim serve: connection %d failed (isolated): %s@."
         c.cid reason;
       c.closed <- true;
+      c.eof <- true;
       (try Unix.close c.fd with Unix.Unix_error _ -> ());
       (* The peer is gone for good (a half-closed client keeps its
          admission until each job completes; this path is hard
@@ -1654,10 +1526,8 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
           {
             fd;
             cid;
-            cbuf = Buffer.create 256;
-            oversized = false;
+            lines = Server.Lines.create ();
             cout = outstream ();
-            lineno = 0;
             next_slot = 0;
             next_emit = 0;
             ready = Hashtbl.create 16;
@@ -1665,9 +1535,7 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
             pending = 0;
             eof = false;
             closed = false;
-            cserved = 0;
-            cerrors = 0;
-            chits = 0;
+            tally = Server.empty_summary;
           }
           :: !conns
     done
@@ -1679,20 +1547,10 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
     | exception Unix.Unix_error (e, _, _) -> fail_conn c (Unix.error_message e)
     | 0 ->
       c.eof <- true;
-      (* A trailing line without its newline still gets an answer,
-         like the channel server's final partial line. *)
-      if Buffer.length c.cbuf > 0 || c.oversized then begin
-        if c.oversized then begin
-          c.oversized <- false;
-          oversized_slot t c
-        end
-        else begin
-          let line = Buffer.contents c.cbuf in
-          Buffer.clear c.cbuf;
-          process_line t c line
-        end
-      end
-    | n -> feed_conn t c (Bytes.sub_string t.scratch 0 n)
+      List.iter (handle_job t c) (Server.Lines.close c.lines)
+    | n ->
+      List.iter (handle_job t c)
+        (Server.Lines.feed c.lines (Bytes.sub_string t.scratch 0 n))
   in
   let write_conn c =
     match out_write c.fd c.cout with
@@ -1714,7 +1572,15 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
             if (not c.closed) && c.eof && c.pending = 0 && not (out_pending c.cout)
             then close_conn c)
           !conns;
-        conns := List.filter (fun c -> not c.closed) !conns;
+        (* A failed connection stays until its in-flight jobs are
+           answered, so its tally is complete when it retires. *)
+        conns :=
+          List.filter
+            (fun c ->
+              let retired = c.closed && c.pending = 0 in
+              if retired then t.written <- add_summary t.written c.tally;
+              not retired)
+            !conns;
         if not (Server.Stop.signalled t.stop && !conns = []) then begin
           supervise t;
           Array.iter (fun w -> flush_worker t w) t.workers;
@@ -1735,7 +1601,8 @@ let run_socket ?stop ?manifest ?on_spawn ?chaos ?cache_dir ?jit cfg ~path () =
           in
           let ws =
             List.filter_map
-              (fun c -> if out_pending c.cout then Some c.fd else None)
+              (fun c ->
+                if (not c.closed) && out_pending c.cout then Some c.fd else None)
               !conns
             @ (Array.to_list t.workers
               |> List.filter_map (fun w ->

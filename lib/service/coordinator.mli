@@ -35,9 +35,10 @@
       degraded mode — the merged summary's ["topology"] member
       records the new shape;
     - {e admission} — per-tenant quotas and [dyn_target] load
-      shedding, the same policies as the in-process server, applied
-      tier-wide; rejected jobs are answered ["overloaded"] by the
-      coordinator without touching a worker;
+      shedding through {!Server.Admission}, the one policy stdio uses
+      too, applied tier-wide against every connection's live jobs;
+      rejected jobs are answered ["overloaded"] by the coordinator
+      without touching a worker;
     - {e telemetry} — every supervision tick may emit a
       ["metrics_snapshot"] record of the coordinator's own metrics
       delta (at most once per [metrics_every_s]); at shutdown each

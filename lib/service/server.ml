@@ -91,19 +91,15 @@ type parsed = {
   req : (Request.t, Diag.t) result;
 }
 
+let parse_error ?(id = Json.Null) ?(version = 0) ?tenant ~lineno msg =
+  { id; version; tenant; req = Error (Diag.Parse { source = "serve"; line = lineno; msg }) }
+
 (* Any defect in a single line — unparseable JSON, deep nesting
    blowing the parser's stack, a decoder bug surfacing as an
    unexpected exception — must stay confined to that line's response
    slot; only I/O errors on the stream itself may escape. *)
 let parse_job ~lineno line =
-  let bad ?(id = Json.Null) ?(version = 0) ?tenant msg =
-    {
-      id;
-      version;
-      tenant;
-      req = Error (Diag.Parse { source = "serve"; line = lineno; msg });
-    }
-  in
+  let bad = parse_error ~lineno in
   match Json.parse line with
   | exception Json.Parse_error msg -> bad msg
   | exception Stack_overflow -> bad "JSON nesting too deep"
@@ -202,153 +198,117 @@ let isolated_response id e bt =
 
 let max_line_bytes = 1 lsl 20
 
-type raw_line = Line of string | Truncated | Eof
+(* The one JSONL framer, fed whatever bytes each read returned (stdio
+   and every socket connection alike). A line longer than
+   [max_line_bytes] is never buffered whole — an adversarial
+   multi-gigabyte line must cost one error response, not the server's
+   heap: its bytes are dropped up to the next newline and it takes one
+   parse-error slot, so responses stay in input order. Blank lines are
+   numbered but skipped; a final line without its newline parses or
+   fails on its own merits at EOF. *)
+module Lines = struct
+  type t = { buf : Buffer.t; mutable oversized : bool; mutable lineno : int }
 
-(* Bounded replacement for [input_line]: a line longer than
-   [max_line_bytes] is drained (so the stream stays synchronized on
-   the next newline) and reported as [Truncated] instead of being
-   buffered whole — an adversarial multi-gigabyte line must cost one
-   error response, not the server's heap. A final line without a
-   trailing newline is a normal [Line] (partial last job lines parse
-   or fail on their own merits). *)
-let read_raw_line ic =
-  let buf = Buffer.create 256 in
-  let rec drain () =
-    match input_char ic with
-    | exception End_of_file -> ()
-    | '\n' -> ()
-    | _ -> drain ()
-  in
-  let rec go () =
-    match input_char ic with
-    | exception End_of_file ->
-      if Buffer.length buf = 0 then Eof else Line (Buffer.contents buf)
-    | '\n' -> Line (Buffer.contents buf)
-    | c ->
-      if Buffer.length buf >= max_line_bytes then begin
-        drain ();
-        Truncated
-      end
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-  in
-  go ()
+  let create () = { buf = Buffer.create 256; oversized = false; lineno = 0 }
 
-let oversized_line ~lineno =
-  {
-    id = Json.Null;
-    version = 0;
-    tenant = None;
-    req =
-      Error
-        (Diag.Parse
-           {
-             source = "serve";
-             line = lineno;
-             msg =
-               Printf.sprintf "input line %d exceeds %d bytes" lineno
-                 max_line_bytes;
-           });
+  let add t s off len =
+    if not t.oversized then
+      if Buffer.length t.buf + len > max_line_bytes then begin
+        Buffer.clear t.buf;
+        t.oversized <- true
+      end
+      else Buffer.add_substring t.buf s off len
+
+  (* End the current line, consing its job (if any) onto [acc]. *)
+  let end_line t acc =
+    t.lineno <- t.lineno + 1;
+    if t.oversized then begin
+      t.oversized <- false;
+      parse_error ~lineno:t.lineno
+        (Printf.sprintf "input line %d exceeds %d bytes" t.lineno max_line_bytes)
+      :: acc
+    end
+    else begin
+      let line = Buffer.contents t.buf in
+      Buffer.clear t.buf;
+      if String.trim line = "" then acc else parse_job ~lineno:t.lineno line :: acc
+    end
+
+  let feed t data =
+    let rec go start acc =
+      match String.index_from_opt data start '\n' with
+      | None ->
+        add t data start (String.length data - start);
+        List.rev acc
+      | Some i ->
+        add t data start (i - start);
+        go (i + 1) (end_line t acc)
+    in
+    go 0 []
+
+  let close t =
+    if t.oversized || Buffer.length t.buf > 0 then end_line t [] else []
+end
+
+(* The one admission policy, applied against whatever is in flight:
+   one chunk at a time on stdio, every connection's live jobs in the
+   socket loop. Per-tenant fairness first — each tenant may hold at
+   most [tenant_quota] admitted jobs (lines without a ["tenant"] share
+   the anonymous tenant) — then the work budget. Its unit is the job's
+   [dyn_target] (its dynamic-instruction count — the one size signal a
+   request carries that is proportional to simulation cost): a job
+   that would push the admitted work past [shed_above] is refused,
+   except that the first job is always admitted, however large —
+   shedding must bound latency, not deadlock a heavy-but-legitimate
+   job. A refused job holds nothing, so a shed job does not count
+   against its tenant's quota. *)
+module Admission = struct
+  type t = {
+    cfg : Serve_config.t;
+    mutable inflight_work : int;
+    tenant_inflight : (string, int) Hashtbl.t;
   }
 
-(* Read up to [n] non-blank lines; [None] on immediate EOF. An
-   oversized line takes a job slot with a parse-class error so the
-   response stream stays in input order. *)
-let read_chunk ~stop ic ~lineno n =
-  let jobs = ref [] in
-  let count = ref 0 in
-  let eof = ref false in
-  while !count < n && (not !eof) && not (Stop.signalled stop) do
-    match read_raw_line ic with
-    | Eof -> eof := true
-    | Line line ->
-      incr lineno;
-      if String.trim line <> "" then begin
-        jobs := parse_job ~lineno:!lineno line :: !jobs;
-        incr count
-      end
-    | Truncated ->
-      incr lineno;
-      jobs := oversized_line ~lineno:!lineno :: !jobs;
-      incr count
-  done;
-  match List.rev !jobs with [] -> None | l -> Some (Array.of_list l)
+  let create cfg = { cfg; inflight_work = 0; tenant_inflight = Hashtbl.create 8 }
 
-let overload p d = { p with req = Error (Diag.Overloaded d) }
-
-(* Work-budget admission. The unit is the job's [dyn_target] (its
-   dynamic-instruction count — the one size signal a request carries
-   that is proportional to simulation cost); a chunk admits jobs in
-   order while their cumulative work stays within [shed_above], and
-   answers the rest [overloaded] without executing them. The first
-   runnable job is always admitted, however large: shedding must
-   bound latency, not deadlock a heavy-but-legitimate job. *)
-let shed_chunk ~shed_above chunk =
-  match shed_above with
-  | None -> chunk
-  | Some hw ->
-    let admitted = ref 0 in
-    Array.map
-      (fun p ->
-        match p.req with
-        | Error _ -> p
-        | Ok req ->
-          let w = req.Request.dyn_target in
-          if !admitted > 0 && !admitted + w > hw then
-            overload p
-              (Printf.sprintf
-                 "load shed: job of %d dynamic instructions would push \
-                  the in-flight work past the high-water mark of %d"
-                 w hw)
-          else begin
-            admitted := !admitted + w;
-            p
-          end)
-      chunk
-
-(* Per-tenant admission quota: within one in-flight window (a chunk
-   here; the coordinator applies the same rule over its live event
-   loop), each tenant may hold at most [tenant_quota] runnable jobs;
-   the rest are answered [overloaded] in input order. The tenant is
-   the envelope's ["tenant"] member; lines without one share the
-   anonymous tenant. *)
-let quota_chunk ~tenant_quota chunk =
-  match tenant_quota with
-  | None -> chunk
-  | Some quota ->
-    let quota = max 1 quota in
-    let inflight = Hashtbl.create 8 in
-    Array.map
-      (fun p ->
-        match p.req with
-        | Error _ -> p
-        | Ok _ ->
-          let tenant = Option.value p.tenant ~default:"" in
-          let n =
-            Option.value (Hashtbl.find_opt inflight tenant) ~default:0
-          in
-          if n >= quota then
-            overload p
-              (Printf.sprintf
-                 "tenant quota: %s already has %d jobs in flight (quota %d)"
-                 (if tenant = "" then "the anonymous tenant"
-                  else Printf.sprintf "tenant %S" tenant)
-                 n quota)
-          else begin
-            Hashtbl.replace inflight tenant (n + 1);
-            p
-          end)
-      chunk
-
-(* Full admission pipeline over one in-flight window, in policy
-   order: per-tenant fairness first, then the global work budget over
-   the survivors. (The coordinator's socket front end applies the same
-   policies over its live in-flight set.) *)
-let admit cfg chunk =
-  shed_chunk ~shed_above:cfg.Serve_config.shed_above
-    (quota_chunk ~tenant_quota:cfg.Serve_config.tenant_quota chunk)
+  let admit t p =
+    match p.req with
+    | Error d -> Error d
+    | Ok req -> (
+      let tenant = Option.value p.tenant ~default:"" in
+      let held = Option.value (Hashtbl.find_opt t.tenant_inflight tenant) ~default:0 in
+      let w = req.Request.dyn_target in
+      match (t.cfg.Serve_config.tenant_quota, t.cfg.Serve_config.shed_above) with
+      | Some q, _ when held >= max 1 q ->
+        Error
+          (Diag.Overloaded
+             (Printf.sprintf "tenant quota: %s already has %d jobs in flight (quota %d)"
+                (if tenant = "" then "the anonymous tenant"
+                 else Printf.sprintf "tenant %S" tenant)
+                held (max 1 q)))
+      | _, Some hw when t.inflight_work > 0 && t.inflight_work + w > hw ->
+        Error
+          (Diag.Overloaded
+             (Printf.sprintf
+                "load shed: job of %d dynamic instructions would push the \
+                 in-flight work past the high-water mark of %d"
+                w hw))
+      | _ ->
+        Hashtbl.replace t.tenant_inflight tenant (held + 1);
+        t.inflight_work <- t.inflight_work + w;
+        (* Idempotent: a dead connection's releases run eagerly and
+           again when the worker's response arrives. *)
+        let released = ref false in
+        Ok
+          (fun () ->
+            if not !released then begin
+              released := true;
+              t.inflight_work <- t.inflight_work - w;
+              match Hashtbl.find t.tenant_inflight tenant with
+              | 1 -> Hashtbl.remove t.tenant_inflight tenant
+              | n -> Hashtbl.replace t.tenant_inflight tenant (n - 1)
+            end))
+end
 
 (* Replay journal format: the request document with the client id
    merged back in, so [Request.of_json] decodes it directly. *)
@@ -403,18 +363,16 @@ let run_batch sess jobs =
     Resilience.Journal.sync j);
   responses
 
+let counters_since counters0 =
+  List.map
+    (fun (k, v) -> (k, v - Option.value (List.assoc_opt k counters0) ~default:0))
+    (Resilience.Counters.snapshot ())
+
 (* Everything in the summary is a per-session delta: the counters and
    the metrics registry are process-wide (they survive across
    sessions), so each stream subtracts the snapshot it took before
    reading its first chunk. *)
 let summary_fields ~counters0 ~metrics0 s =
-  let counter_deltas =
-    List.map
-      (fun (k, v) ->
-        let v0 = Option.value (List.assoc_opt k counters0) ~default:0 in
-        (k, Json.Int (v - v0)))
-      (Resilience.Counters.snapshot ())
-  in
   let metrics_delta = Metrics.delta ~since:metrics0 (Metrics.snapshot ()) in
   [
     ("record", Json.String "serve_summary");
@@ -424,7 +382,8 @@ let summary_fields ~counters0 ~metrics0 s =
     ("timeouts", Json.Int s.timeouts);
     ("shed", Json.Int s.shed);
     ("isolated", Json.Int s.isolated);
-    ("counters", Json.Obj counter_deltas);
+    ( "counters",
+      Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) (counters_since counters0)) );
     ("metrics", Metrics.to_json metrics_delta);
   ]
   @
@@ -451,10 +410,35 @@ let metrics_ticker manifest ~every_s ~since =
           ]
       end
 
+let input_ready fd =
+  match Unix.select [ fd ] [] [] 0. with
+  | [ _ ], _, _ -> true
+  | _ -> false
+  | exception Unix.Unix_error _ -> false
+
 let serve_channel ?exec sess ic oc =
   let o = sess.cfg in
   let exec = match exec with Some f -> f | None -> run_batch sess in
-  let lineno = ref 0 in
+  let admission = Admission.create o in
+  let lines = Lines.create () in
+  (* Jobs framed but not yet handed to [exec], and whether input has
+     ended. [buf] is at least the channel's own buffer, so each
+     [input] empties that buffer and [input_ready] on the descriptor
+     tells whether the next one would block. *)
+  let framed = Queue.create () in
+  let eof = ref false in
+  let buf = Bytes.create 65536 in
+  let fd = Unix.descr_of_in_channel ic in
+  let read () =
+    let jobs =
+      match input ic buf 0 (Bytes.length buf) with
+      | 0 ->
+        eof := true;
+        Lines.close lines
+      | n -> Lines.feed lines (Bytes.sub_string buf 0 n)
+    in
+    List.iter (fun p -> Queue.add p framed) jobs
+  in
   let summary = ref empty_summary in
   (* Session baselines for per-stream deltas, taken before the first
      chunk is read. *)
@@ -467,20 +451,48 @@ let serve_channel ?exec sess ic oc =
   in
   let rec loop () =
     if not (Stop.signalled sess.stop) then
-      match read_chunk ~stop:sess.stop ic ~lineno o.Serve_config.queue with
-      | None -> ()
-      | Some chunk ->
+      if Queue.is_empty framed then begin
+        (* Nothing is waiting for an answer: the one read that may
+           block. *)
+        if not !eof then begin
+          read ();
+          loop ()
+        end
+      end
+      else begin
+        (* A chunk is what has already arrived, up to [queue] jobs. *)
+        while
+          (not !eof) && Queue.length framed < o.Serve_config.queue && input_ready fd
+        do
+          read ()
+        done;
+        let chunk =
+          Array.init (min o.Serve_config.queue (Queue.length framed)) (fun _ ->
+              Queue.pop framed)
+        in
         let enqueued_at = Unix.gettimeofday () in
-        let chunk = admit o chunk in
+        let releases = ref [] in
+        let admitted =
+          Array.map
+            (fun p ->
+              match Admission.admit admission p with
+              | Ok release ->
+                releases := release :: !releases;
+                (enqueued_at, p)
+              | Error d -> (enqueued_at, { p with req = Error d }))
+            chunk
+        in
         Array.iter
           (fun (resp, tag) ->
             summary := tally !summary tag;
             output_string oc (Json.to_string resp);
             output_char oc '\n')
-          (exec (Array.map (fun p -> (enqueued_at, p)) chunk));
+          (exec admitted);
         flush oc;
+        List.iter (fun release -> release ()) !releases;
         metrics_tick ();
-        if Array.length chunk = o.Serve_config.queue then loop ()
+        loop ()
+      end
   in
   loop ();
   (match sess.manifest with

@@ -29,15 +29,18 @@
     Blank lines are skipped; a malformed line yields an error response
     with kind ["parse"] without killing the stream — this covers
     unparseable JSON, schema violations, and lines longer than
-    {!max_line_bytes} (drained to the next newline so responses never
-    desync from input order).
+    {!max_line_bytes} (dropped up to the next newline so responses
+    never desync from input order).
 
-    {b Scheduling.} Jobs are read in chunks of at most [queue] lines
-    and each chunk goes to one batch executor — {!run_batch} fans it
-    out over the {!Pool} domains ([jobs] wide), the coordinator's
-    executor over its worker processes; the next chunk is not read
-    until the previous one's responses have been written and flushed.
-    The chunk is the backpressure unit.
+    {b Scheduling.} Input is framed by {!Lines} as it arrives. A chunk
+    is what has already arrived, at most [queue] jobs: the server
+    never waits for more input while it holds a job it has not
+    answered. Each chunk is admitted against {!Admission}, goes to one
+    batch executor — {!run_batch} fans it out over the {!Pool} domains
+    ([jobs] wide), the coordinator's executor over its worker
+    processes — and is released once its responses have been written
+    and flushed; only then is the next chunk taken. The chunk is the
+    backpressure unit.
 
     {b Fault tolerance} (doc/resilience.md has the full semantics):
     job isolation under {!Pool.run_outcomes} (kind ["internal"]),
@@ -134,9 +137,44 @@ val parse_job : lineno:int -> string -> parsed
     non-string ["tenant"], a decoder error) becomes
     [req = Error (Parse _)]. *)
 
-val oversized_line : lineno:int -> parsed
-(** The parse-error slot a line longer than {!max_line_bytes}
-    occupies. *)
+(** The JSONL framer every front end reads through (stdio and each
+    socket connection): bytes in, {!parsed} jobs out, in input order,
+    each numbered by its input line. Blank lines are skipped. A line
+    longer than {!max_line_bytes} is dropped up to its newline, never
+    buffered whole, and yields one ["parse"] error slot. *)
+module Lines : sig
+  type t
+
+  val create : unit -> t
+
+  val feed : t -> string -> parsed list
+  (** The jobs of every line the bytes complete; an unfinished last
+      line is kept for the next [feed]. *)
+
+  val close : t -> parsed list
+  (** End of input: the unfinished last line's job, if any (a final
+      line needs no newline to be answered). *)
+end
+
+(** The admission policy every front end applies, against whatever is
+    in flight: stdio admits each chunk and releases it once answered;
+    the socket loop admits each job against every connection's live
+    jobs and releases it when its response arrives. Per-tenant quota
+    first ([tenant_quota] runnable jobs per tenant), then load
+    shedding by cumulative [dyn_target] against [shed_above], where
+    the first job in flight is always admitted. A refused job holds
+    nothing, so a shed job does not count against its tenant's
+    quota. *)
+module Admission : sig
+  type t
+
+  val create : Serve_config.t -> t
+
+  val admit : t -> parsed -> (unit -> unit, Dise_isa.Diag.t) result
+  (** [Ok release] books the job until [release ()] (idempotent);
+      [Error (Overloaded _)] refuses it. A job that is already an
+      error ([req = Error d]) is returned as [Error d]. *)
+end
 
 val error_response : Dise_telemetry.Json.t -> Dise_isa.Diag.t -> Dise_telemetry.Json.t
 (** [error_response id diag]: the v1 error response object. *)
@@ -154,13 +192,14 @@ val run_batch : session -> executor
 
 val serve_channel :
   ?exec:executor -> session -> in_channel -> out_channel -> summary
-(** Serve one JSONL stream to completion (EOF or session stop): read
-    a chunk, admit it (per-tenant quotas, then load shedding by
-    cumulative [dyn_target]), hand it to [exec] (default
-    [run_batch session]), tally and write the responses in input
-    order, flush. Used by [disesim serve] on stdin/stdout, with
-    {!run_batch} in-process or the coordinator's executor under
-    [--workers].
+(** Serve one JSONL stream to completion (EOF or session stop): take
+    the jobs that have arrived (at most [queue]; a read blocks only
+    when every framed job is answered), admit them ({!Admission}),
+    hand them to [exec] (default [run_batch session]), tally and write
+    the responses in input order, flush, release. On stop the chunk in
+    flight finishes and is flushed. Used by [disesim serve] on
+    stdin/stdout, with {!run_batch} in-process or the coordinator's
+    executor under [--workers].
 
     {b Observability.} Every request's latency is recorded in the
     process-wide {!Dise_telemetry.Metrics} registry, split into
@@ -173,6 +212,15 @@ val serve_channel :
     deltas} (doc/schema/serve_summary.schema.json validates the
     record); request-latency quantiles live at
     [metrics.histograms.serve_request_ns.p50/p95/p99]. *)
+
+val input_ready : Unix.file_descr -> bool
+(** Would a read of the descriptor return at once (data or EOF)? The
+    batching rule of both stdio and the worker frame loop: take what
+    has already arrived, never wait for more while holding work. *)
+
+val counters_since : (string * int) list -> (string * int) list
+(** [counters_since c0]: every {!Resilience.Counters} value minus its
+    value in the snapshot [c0] — the per-session counter deltas. *)
 
 val metrics_ticker :
   Dise_telemetry.Manifest.t option ->

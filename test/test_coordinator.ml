@@ -294,7 +294,8 @@ let test_tenant_quota_order () =
 
 (* Run [lines] through a real worker tier and return
    (summary, responses, manifest records). *)
-let serve_sharded ?on_spawn ?journal ?chaos ?heartbeat_ms ~workers lines =
+let serve_sharded ?on_spawn ?journal ?chaos ?heartbeat_ms ?tenant_quota
+    ?shed_above ~workers lines =
   with_temp_dir (fun dir ->
       let inp = Filename.concat dir "in.jsonl" in
       let outp = Filename.concat dir "out.jsonl" in
@@ -309,7 +310,7 @@ let serve_sharded ?on_spawn ?journal ?chaos ?heartbeat_ms ~workers lines =
       let manifest = Manifest.to_buffer mbuf in
       let cfg =
         Serve_config.of_flags ~workers ~jobs:1 ~queue:16 ?journal
-          ?heartbeat_ms ()
+          ?heartbeat_ms ?tenant_quota ?shed_above ()
       in
       let ic = open_in inp in
       let oc = open_out outp in
@@ -933,6 +934,127 @@ let test_inproc_replays_shard_journal () =
             (List.length
                (Journal.pending ~dir:(Server.shard_journal_dir ~root:jroot 0)))))
 
+(* --- stdio answers what has arrived ---------------------------------------- *)
+
+(* A client writes 3 jobs (fewer than [queue]) into a pipe and waits
+   for their answers before closing its end. The server must answer
+   what has arrived instead of waiting for a full chunk. The client
+   gives up after 10 s and closes anyway, so a server that waits fails
+   the check rather than hanging the suite. Returns the summary and
+   how many responses arrived before the close. *)
+let answered_before_close serve_stream =
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let resp_r, resp_w = Unix.pipe ~cloexec:true () in
+  let client =
+    Domain.spawn (fun () ->
+        let data =
+          String.concat "" (List.map (fun i -> job ~dyn:(24_500 + i) i ^ "\n") [ 1; 2; 3 ])
+        in
+        ignore (Unix.write_substring req_w data 0 (String.length data));
+        let deadline = Unix.gettimeofday () +. 10. in
+        let buf = Bytes.create 4096 in
+        let lines = ref 0 in
+        let open_ = ref true in
+        while !open_ && !lines < 3 && Unix.gettimeofday () < deadline do
+          match
+            Unix.select [ resp_r ] [] [] (Float.max 0. (deadline -. Unix.gettimeofday ()))
+          with
+          | [ _ ], _, _ ->
+            let n = Unix.read resp_r buf 0 (Bytes.length buf) in
+            if n = 0 then open_ := false;
+            for i = 0 to n - 1 do
+              if Bytes.get buf i = '\n' then incr lines
+            done
+          | _ -> ()
+          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        done;
+        Unix.close req_w;
+        !lines)
+  in
+  let ic = Unix.in_channel_of_descr req_r and oc = Unix.out_channel_of_descr resp_w in
+  let summary =
+    Fun.protect
+      ~finally:(fun () ->
+        close_in_noerr ic;
+        close_out_noerr oc)
+      (fun () -> serve_stream ic oc)
+  in
+  let answered = Domain.join client in
+  Unix.close resp_r;
+  (summary, answered)
+
+let test_stdio_short_window () =
+  let check_mode name serve_stream =
+    let summary, answered = answered_before_close serve_stream in
+    check int_ (name ^ ": 3 answers before the client closed") 3 answered;
+    check int_ (name ^ ": 3 jobs served") 3 summary.Server.served;
+    check int_ (name ^ ": no errors") 0 summary.Server.errors
+  in
+  check_mode "in-process" (fun ic oc ->
+      Server.serve_channel (Server.session (Serve_config.of_flags ~jobs:2 ~queue:8 ())) ic oc);
+  check_mode "tier" (fun ic oc ->
+      Coordinator.run_channel (Serve_config.of_flags ~workers:1 ~jobs:1 ~queue:8 ()) ic oc)
+
+(* --- one admission policy on every path ----------------------------------- *)
+
+(* Job 2 is shed (20001 + 20002 > 30000), so only job 1 is in flight
+   when job 3 arrives: acme holds 1 of its 2 quota slots and the work
+   budget has room (20001 + 5003), so job 3 runs. Stdio in-process,
+   stdio through the tier and the socket loop must agree on every
+   outcome and message. *)
+let test_admission_parity () =
+  let lines =
+    [
+      job ~v:1 ~tenant:"acme" ~dyn:20_001 1;
+      job ~v:1 ~tenant:"acme" ~dyn:20_002 2;
+      job ~v:1 ~tenant:"acme" ~dyn:5_003 3;
+    ]
+  in
+  let outcome r =
+    let err = Option.value (Json.member "error" r) ~default:Json.Null in
+    Json.to_string
+      (Json.List
+         [
+           member "id" r;
+           member "ok" r;
+           Option.value (Json.member "kind" err) ~default:Json.Null;
+           Option.value (Json.member "message" err) ~default:Json.Null;
+         ])
+  in
+  let _, inproc =
+    serve ~cfg:(Serve_config.of_flags ~jobs:1 ~queue:8 ~tenant_quota:2 ~shed_above:30_000 ()) lines
+  in
+  let _, tier, _ = serve_sharded ~workers:1 ~tenant_quota:2 ~shed_above:30_000 lines in
+  let socket =
+    with_socket_tier
+      ~cfg:(Serve_config.of_flags ~workers:1 ~jobs:1 ~queue:8 ~tenant_quota:2 ~shed_above:30_000 ())
+      (fun ~connect ~send ~recv_line ->
+        let fd = connect () in
+        (* all three lines in one write *)
+        send fd (String.concat "\n" lines);
+        let rs =
+          List.init 3 (fun _ ->
+              match recv_line fd with
+              | Some l -> Json.parse l
+              | None -> Alcotest.fail "socket closed early")
+        in
+        Unix.close fd;
+        rs)
+  in
+  let outcomes rs = List.map outcome rs in
+  let expected = outcomes socket in
+  check int_ "socket answered all three" 3 (List.length expected);
+  check (Alcotest.list Alcotest.string) "stdio in-process matches the socket loop"
+    expected (outcomes inproc);
+  check (Alcotest.list Alcotest.string) "stdio tier matches the socket loop" expected
+    (outcomes tier);
+  match socket with
+  | [ r1; r2; r3 ] ->
+    check bool_ "job 1 runs" true (member "ok" r1 = Json.Bool true);
+    check bool_ "job 2 is shed" true (kind_of r2 = Some (Json.String "overloaded"));
+    check bool_ "job 3 runs" true (member "ok" r3 = Json.Bool true)
+  | _ -> Alcotest.fail "wrong response count"
+
 (* --- the event loop's periodic metrics ----------------------------------- *)
 
 let test_socket_metrics_snapshots () =
@@ -1006,6 +1128,10 @@ let suite =
       test_inproc_replays_shard_journal;
     Alcotest.test_case "socket event loop emits metrics snapshots" `Quick
       test_socket_metrics_snapshots;
+    Alcotest.test_case "stdio answers a short window" `Quick
+      test_stdio_short_window;
+    Alcotest.test_case "admission parity across front ends" `Quick
+      test_admission_parity;
     Alcotest.test_case "write_all vs nonblocking full pipe" `Quick
       test_write_all_nonblocking_pipe;
     Alcotest.test_case "quota released on connection failure" `Quick
