@@ -76,10 +76,15 @@ let set_index t tag =
   let h = h lsr 16 in
   if t.index_mask >= 0 then h land t.index_mask else h mod t.n_sets
 
-let probe t tag =
+(* Refresh [tag]'s way if resident; [false] on a miss. *)
+let touch t tag =
   let set = t.sets.(set_index t tag) in
-  let rec go i = if i >= t.assoc then None
-    else if set.(i).tag = tag then Some set.(i)
+  let rec go i =
+    if i >= t.assoc then false
+    else if set.(i).tag = tag then begin
+      set.(i).lru <- t.clock;
+      true
+    end
     else go (i + 1)
   in
   go 0
@@ -88,15 +93,15 @@ let fill t tag =
   let set = t.sets.(set_index t tag) in
   (* Reuse an invalid way, else evict LRU. *)
   let victim = ref set.(0) in
-  Array.iter
-    (fun w ->
-      if w.tag = -1 && !victim.tag <> -1 then victim := w
-      else if w.tag <> -1 && !victim.tag <> -1 && w.lru < !victim.lru then
-        victim := w)
-    set;
-  if !victim.tag = -1 then t.resident <- t.resident + 1;
-  !victim.tag <- tag;
-  !victim.lru <- t.clock
+  for k = 1 to Array.length set - 1 do
+    let w = set.(k) and v = !victim in
+    if w.tag = -1 && v.tag <> -1 then victim := w
+    else if w.tag <> -1 && v.tag <> -1 && w.lru < v.lru then victim := w
+  done;
+  let v = !victim in
+  if v.tag = -1 then t.resident <- t.resident + 1;
+  v.tag <- tag;
+  v.lru <- t.clock
 
 let blocks_of_len t len =
   if len <= max_precomputed_len && not t.perfect then
@@ -108,21 +113,17 @@ let access t ~rsid ~len =
   if t.perfect then `Hit
   else begin
     t.clock <- t.clock + 1;
-    let blocks = blocks_of_len t (max 1 len) in
+    let blocks = blocks_of_len t (Int.max 1 len) in
     let all_hit = ref true in
     for blk = 0 to blocks - 1 do
-      match probe t (block_tag ~rsid ~blk) with
-      | Some w -> w.lru <- t.clock
-      | None -> all_hit := false
+      if not (touch t (block_tag ~rsid ~blk)) then all_hit := false
     done;
     if !all_hit then `Hit
     else begin
       t.misses <- t.misses + 1;
       for blk = 0 to blocks - 1 do
         let tag = block_tag ~rsid ~blk in
-        match probe t tag with
-        | Some w -> w.lru <- t.clock
-        | None -> fill t tag
+        if not (touch t tag) then fill t tag
       done;
       `Miss
     end

@@ -94,33 +94,6 @@ let uses i =
   in
   List.filter non_zero u
 
-(* Allocation-free variants of [uses]/[defs] for the timing model's
-   per-event scoreboard walk ([uses]/[defs] build a fresh list per
-   call, which dominates the event loop's allocation). *)
-
-let fold_uses f acc i =
-  match i with
-  | Rop (_, rs, rt, _) ->
-    let acc = if non_zero rs then f acc rs else acc in
-    if non_zero rt then f acc rt else acc
-  | Ropi (_, rs, _, _) | Lda (rs, _, _) | Mem ((Ldq | Ldbu), rs, _, _)
-  | Br (_, rs, _) | Jr rs | Jalr (rs, _) | Dbr (_, rs, _) ->
-    if non_zero rs then f acc rs else acc
-  | Mem ((Stq | Stb), rs, _, rt) ->
-    let acc = if non_zero rs then f acc rs else acc in
-    if non_zero rt then f acc rt else acc
-  | Lui _ | Jmp _ | Jal _ | Djmp _ | Codeword _ | Nop | Halt -> acc
-
-let iter_defs f i =
-  match i with
-  | Rop (_, _, _, rd) | Ropi (_, _, _, rd) | Lda (_, _, rd) | Lui (_, rd)
-  | Jalr (_, rd) | Mem ((Ldq | Ldbu), _, _, rd) ->
-    if non_zero rd then f rd
-  | Jal _ -> f Reg.ra
-  | Mem ((Stq | Stb), _, _, _) | Br _ | Jmp _ | Jr _ | Dbr _ | Djmp _
-  | Codeword _ | Nop | Halt ->
-    ()
-
 let is_control = function
   | Br _ | Jmp _ | Jal _ | Jr _ | Jalr _ | Halt -> true
   | Rop _ | Ropi _ | Lda _ | Lui _ | Mem _ | Dbr _ | Djmp _ | Codeword _

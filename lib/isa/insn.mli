@@ -61,15 +61,6 @@ val defs : t -> Reg.t list
 val uses : t -> Reg.t list
 (** Registers read. *)
 
-val fold_uses : ('a -> Reg.t -> 'a) -> 'a -> t -> 'a
-(** [fold_uses f acc i] folds [f] over the registers [i] reads, in the
-    same order as {!uses} but without building a list — for per-event
-    hot paths. *)
-
-val iter_defs : (Reg.t -> unit) -> t -> unit
-(** [iter_defs f i] applies [f] to each register [i] writes (excluding
-    the zero register), allocation-free counterpart of {!defs}. *)
-
 val is_control : t -> bool
 (** True for every instruction that may redirect the application PC. *)
 

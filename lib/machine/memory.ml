@@ -22,9 +22,11 @@ let page t addr =
   if key = t.last_key then t.last_page
   else
     let p =
-      match Hashtbl.find_opt t.pages key with
-      | Some p -> p
-      | None ->
+      (* [find] and its exception rather than [find_opt]: a miss of the
+         one-entry cache then allocates no option *)
+      match Hashtbl.find t.pages key with
+      | p -> p
+      | exception Not_found ->
         let p = Bytes.make page_size '\000' in
         Hashtbl.replace t.pages key p;
         p

@@ -43,31 +43,37 @@ let create ~size_bytes ~assoc ~line_bytes =
     misses = 0;
   }
 
+(* One loop, no closure and no option: the hit scan and the victim
+   choice (first invalid way, else least recently used) are both plain
+   index walks over the set. *)
 let access t addr =
   t.accesses <- t.accesses + 1;
   t.clock <- t.clock + 1;
   let tag = addr lsr t.line_shift in
   let set = t.sets.(tag land (t.n_sets - 1)) in
-  let rec find i = if i >= t.assoc then None
-    else if set.(i).tag = tag then Some set.(i)
-    else find (i + 1)
-  in
-  match find 0 with
-  | Some w ->
-    w.lru <- t.clock;
+  let assoc = t.assoc in
+  let i = ref 0 in
+  while !i < assoc && set.(!i).tag <> tag do
+    incr i
+  done;
+  if !i < assoc then begin
+    set.(!i).lru <- t.clock;
     `Hit
-  | None ->
+  end
+  else begin
     t.misses <- t.misses + 1;
     let victim = ref set.(0) in
-    Array.iter
-      (fun w ->
-        if w.tag = -1 && !victim.tag <> -1 then victim := w
-        else if w.tag <> -1 && !victim.tag <> -1 && w.lru < !victim.lru then
-          victim := w)
-      set;
-    !victim.tag <- tag;
-    !victim.lru <- t.clock;
+    for k = 1 to assoc - 1 do
+      let w = set.(k) in
+      let v = !victim in
+      if w.tag = -1 && v.tag <> -1 then victim := w
+      else if w.tag <> -1 && v.tag <> -1 && w.lru < v.lru then victim := w
+    done;
+    let v = !victim in
+    v.tag <- tag;
+    v.lru <- t.clock;
     `Miss
+  end
 
 let probe t addr =
   let tag = addr lsr t.line_shift in

@@ -55,7 +55,7 @@ let make_cache = function
     Some (Cache.create ~size_bytes ~assoc ~line_bytes)
 
 let create ?controller ?trace ?profile (cfg : Config.t) =
-  let trace_lanes = 4 * max 1 cfg.width in
+  let trace_lanes = 4 * Int.max 1 cfg.width in
   (match trace with
   | None -> ()
   | Some tr ->
@@ -77,8 +77,8 @@ let create ?controller ?trace ?profile (cfg : Config.t) =
     profile;
     trace_lanes;
     reg_ready = Array.make (Reg.num_arch + Reg.num_dedicated) 0;
-    rob = Array.make (max cfg.rob_size cfg.width) 0;
-    issue_ring = Array.make (max 1 cfg.width) 0;
+    rob = Array.make (Int.max cfg.rob_size cfg.width) 0;
+    issue_ring = Array.make (Int.max 1 cfg.width) 0;
     issue_head = 0;
     serial_stalls = 0;
     seq = 0;
@@ -97,7 +97,7 @@ let create ?controller ?trace ?profile (cfg : Config.t) =
    [prefetched] marks L2 misses whose latency a next-line prefetcher
    would have hidden (sequential instruction streaming): they cost only
    the L2 access. *)
-let l1_miss_penalty ?(prefetched = false) t addr =
+let l1_miss_penalty ~prefetched t addr =
   match t.l2 with
   | None -> t.cfg.l2_latency
   | Some l2 -> (
@@ -116,7 +116,7 @@ let redirect_depth t =
    [cause] tells CPI attribution which bucket the bubble belongs to
    once the next fetched instruction exposes it. *)
 let redirect t ~cause cycle =
-  t.fetch_cycle <- max t.fetch_cycle (cycle + redirect_depth t);
+  t.fetch_cycle <- Int.max t.fetch_cycle (cycle + redirect_depth t);
   t.fetch_count <- 0;
   t.last_line <- -1;
   t.pending_redirect <- cause;
@@ -183,7 +183,7 @@ let latency_of t insn ~mem_addr =
       | `Miss ->
         t.stats.Stats.dcache_misses <- t.stats.Stats.dcache_misses + 1;
         t.dmiss <- true;
-        t.cfg.l1_latency + l1_miss_penalty t addr))
+        t.cfg.l1_latency + l1_miss_penalty ~prefetched:false t addr))
   | I.Mem ((Op.Stq | Op.Stb), _, _, _) ->
     (* Stores retire through a store buffer; charge 1 cycle but track
        the footprint. *)
@@ -196,7 +196,7 @@ let latency_of t insn ~mem_addr =
       | `Hit -> ()
       | `Miss ->
         t.stats.Stats.dcache_misses <- t.stats.Stats.dcache_misses + 1;
-        ignore (l1_miss_penalty t addr)));
+        ignore (l1_miss_penalty ~prefetched:false t addr)));
     1
   | _ -> 1
 
@@ -210,6 +210,34 @@ let branch_kind insn =
   | _ -> None
 
 let is_call = function I.Jal _ | I.Jalr _ -> true | _ -> false
+
+(* The scoreboard walk, spelled out per instruction form so the
+   per-instruction path calls no closure. [src_ready] is the latest
+   ready cycle among the registers [insn] reads. The zero register's
+   slot is never written ([set_dest_ready] skips index 0), so reading
+   it yields 0, the neutral element; no zero-register test is needed
+   on the read side. *)
+let src_ready (ready : int array) insn =
+  match insn with
+  | I.Rop (_, rs, rt, _) | I.Mem ((Op.Stq | Op.Stb), rs, _, rt) ->
+    Int.max ready.(Reg.index rs) ready.(Reg.index rt)
+  | I.Ropi (_, rs, _, _) | I.Lda (rs, _, _) | I.Mem ((Op.Ldq | Op.Ldbu), rs, _, _)
+  | I.Br (_, rs, _) | I.Jr rs | I.Jalr (rs, _) | I.Dbr (_, rs, _) ->
+    ready.(Reg.index rs)
+  | I.Lui _ | I.Jmp _ | I.Jal _ | I.Djmp _ | I.Codeword _ | I.Nop | I.Halt -> 0
+
+(* Mark the register [insn] writes (the zero register excepted) ready
+   at [complete]. *)
+let set_dest_ready (ready : int array) insn complete =
+  match insn with
+  | I.Rop (_, _, _, rd) | I.Ropi (_, _, _, rd) | I.Lda (_, _, rd) | I.Lui (_, rd)
+  | I.Jalr (_, rd) | I.Mem ((Op.Ldq | Op.Ldbu), _, _, rd) ->
+    let i = Reg.index rd in
+    if i <> 0 then ready.(i) <- complete
+  | I.Jal _ -> ready.(Reg.index Reg.ra) <- complete
+  | I.Mem ((Op.Stq | Op.Stb), _, _, _) | I.Br _ | I.Jmp _ | I.Jr _ | I.Dbr _
+  | I.Djmp _ | I.Codeword _ | I.Nop | I.Halt ->
+    ()
 
 (* The single consumption path, over the machine's raw (allocation
    free) step record. [rsid < 0] means an application instruction;
@@ -309,23 +337,19 @@ let consume_raw t (r : Machine.Raw.t) =
   let fetch =
     if rob_bound then t.rob.((t.seq - cfg.rob_size) mod rob_len) else fetch
   in
-  t.fetch_cycle <- max t.fetch_cycle fetch;
+  t.fetch_cycle <- Int.max t.fetch_cycle fetch;
   (* ---- issue / execute ---- *)
-  let src_ready =
-    I.fold_uses (fun acc reg -> max acc t.reg_ready.(Reg.index reg)) 0
-      r.Machine.Raw.insn
-  in
+  let src_ready = src_ready t.reg_ready r.Machine.Raw.insn in
   (* Issue bandwidth: at most [width] instructions may begin execution
      per cycle; the [width]-th previous issue bounds this one. *)
   let bandwidth_ready = t.issue_ring.(t.issue_head) + 1 in
   let fetch_dominant = fetch >= src_ready && fetch >= bandwidth_ready in
-  let start = max (max fetch src_ready) bandwidth_ready in
+  let start = Int.max (Int.max fetch src_ready) bandwidth_ready in
   t.issue_ring.(t.issue_head) <- start;
   t.issue_head <- (t.issue_head + 1) mod Array.length t.issue_ring;
   let lat = latency_of t r.Machine.Raw.insn ~mem_addr:r.Machine.Raw.mem_addr in
   let complete = start + lat in
-  I.iter_defs (fun reg -> t.reg_ready.(Reg.index reg) <- complete)
-    r.Machine.Raw.insn;
+  set_dest_ready t.reg_ready r.Machine.Raw.insn complete;
   (* ---- control flow ---- *)
   (if r.Machine.Raw.branch >= 0 then begin
      let taken = r.Machine.Raw.branch land 1 <> 0 in
@@ -381,7 +405,7 @@ let consume_raw t (r : Machine.Raw.t) =
     if t.seq >= cfg.width then t.rob.((t.seq - cfg.width) mod rob_len) + 1
     else 0
   in
-  let retire = max complete (max in_order bandwidth) in
+  let retire = Int.max complete (Int.max in_order bandwidth) in
   (* ---- CPI attribution ----
      The retire-to-retire gap of this instruction is charged, in full,
      to the dominant constraint. Retire timestamps are monotonic
@@ -419,7 +443,7 @@ let consume_raw t (r : Machine.Raw.t) =
     Trace.complete tr
       ~name:(I.to_string r.Machine.Raw.insn)
       ~cat:(if r.Machine.Raw.rsid < 0 then "app" else "rep")
-      ~ts:fetch ~dur:(max 1 (retire - fetch))
+      ~ts:fetch ~dur:(Int.max 1 (retire - fetch))
       ~tid:(1 + (t.seq mod t.trace_lanes))
       ~args:
         (("pc", Json.String (Printf.sprintf "0x%x" r.Machine.Raw.pc))

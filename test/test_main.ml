@@ -13,6 +13,7 @@ let () =
       ("machine", Test_machine.suite);
       ("core", Test_core_dise.suite);
       ("uarch", Test_uarch.suite);
+      ("golden", Test_golden.suite);
       ("workload", Test_workload.suite);
       ("acf", Test_acf.suite);
       ("harness", Test_harness.suite);

@@ -354,6 +354,91 @@ let test_pipeline_workload_end_to_end () =
   check bool_ "ipc sane" true (Stats.ipc stats > 0.2 && Stats.ipc stats < 4.0);
   check int_ "retired everything" stats.Stats.retired stats.Stats.app_instrs
 
+(* --- steady-state allocation -------------------------------------------
+
+   The claim on [Machine.run_raw] and [Pipeline.consume_raw]: once the
+   run is warm (expansions memoized, superblocks compiled, pages
+   touched), executing and timing an instruction allocates nothing.
+   Minor words are counted between dynamic instructions 100 000 and
+   200 000 inside the sink, once for the machine alone and once with
+   every record fed to the pipeline. gzip is left out: its superblock
+   compilations are still running inside that window. *)
+
+exception Window_done
+
+let window_lo = 100_000
+let window_hi = 200_000
+
+let words_per_insn ~pipeline m =
+  let p = Pipeline.create Config.default in
+  let n = ref 0 and w0 = ref 0. and w1 = ref 0. in
+  let sink r =
+    if pipeline then Pipeline.consume_raw p r;
+    incr n;
+    if !n = window_lo then w0 := Gc.minor_words ()
+    else if !n = window_hi then begin
+      w1 := Gc.minor_words ();
+      raise Window_done
+    end
+  in
+  (match Machine.run_raw m sink with
+  | _ -> Alcotest.fail "workload halted before the measurement window closed"
+  | exception Window_done -> ());
+  (!w1 -. !w0) /. float_of_int (window_hi - window_lo)
+
+let alloc_machine ~jit (entry : Workload.Suite.entry) acf =
+  let with_engine image prodset =
+    let engine = Dise_core.Engine.create ~image prodset in
+    let m = Machine.create ~expander:(Dise_core.Engine.expander engine) image in
+    if jit then Dise_core.Engine.attach_jit engine m;
+    m
+  in
+  match acf with
+  | `Baseline ->
+    let m = Machine.create entry.Workload.Suite.image in
+    if jit then Machine.enable_jit m;
+    m
+  | `Mfi_dise3 ->
+    let image = entry.Workload.Suite.image in
+    let m =
+      with_engine image
+        (Dise_acf.Mfi.productions_for ~variant:Dise_acf.Mfi.Dise3 image)
+    in
+    Dise_acf.Mfi.install m ~data_seg:Workload.Codegen.data_segment_id
+      ~code_seg:Workload.Codegen.code_segment_id;
+    m
+  | `Decompress ->
+    let r =
+      Dise_service.Request.compress_result ~scheme:Dise_acf.Compress.full_dise
+        entry
+    in
+    with_engine r.Dise_acf.Compress.image r.Dise_acf.Compress.prodset
+
+let test_steady_state_allocation () =
+  let bound = 0.01 in
+  List.iter
+    (fun bench ->
+      let profile = Option.get (Workload.Profile.find bench) in
+      let entry = Workload.Suite.get ~dyn_target:300_000 profile in
+      List.iter
+        (fun (acf_name, acf) ->
+          List.iter
+            (fun jit ->
+              List.iter
+                (fun pipeline ->
+                  let w = words_per_insn ~pipeline (alloc_machine ~jit entry acf) in
+                  if w > bound then
+                    Alcotest.failf
+                      "%s %s jit=%b %s: %.3f minor words per instruction (bound %.2f)"
+                      bench acf_name jit
+                      (if pipeline then "machine+pipeline" else "machine")
+                      w bound)
+                [ false; true ])
+            [ true; false ])
+        [ ("baseline", `Baseline); ("mfi-dise3", `Mfi_dise3);
+          ("decompress", `Decompress) ])
+    [ "bzip2"; "mcf" ]
+
 let suite =
   [
     ("cache basic", `Quick, test_cache_basic);
@@ -375,4 +460,5 @@ let suite =
     ("pipeline stall proportional", `Quick, test_pipeline_stall_proportional);
     ("pipeline RT miss cost", `Quick, test_pipeline_controller_rt_misses_cost);
     ("pipeline workload end-to-end", `Quick, test_pipeline_workload_end_to_end);
+    ("steady-state words per instruction", `Quick, test_steady_state_allocation);
   ]
