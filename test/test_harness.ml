@@ -238,6 +238,37 @@ let test_pool_empty_and_map_list () =
   check bool_ "map_list" true
     (Pool.map_list ~jobs:3 (fun x -> x + 1) [ 1; 2; 3 ] = [ 2; 3; 4 ])
 
+(* Helper domains outlive a batch: a second batch runs on the domains
+   the first one spawned, not on new ones. Tasks sleep so the helper
+   certainly claims some of them. *)
+let test_pool_helpers_persist () =
+  let caller = (Domain.self () :> int) in
+  let batch () =
+    let ids =
+      Pool.run ~jobs:2
+        (Array.init 8 (fun _ () ->
+             Unix.sleepf 0.005;
+             (Domain.self () :> int)))
+    in
+    List.sort_uniq compare
+      (List.filter (fun d -> d <> caller) (Array.to_list ids))
+  in
+  let first = batch () in
+  let second = batch () in
+  check bool_ "first batch used a helper" true (first <> []);
+  check bool_ "second batch used a helper" true (second <> []);
+  check (Alcotest.list int_) "same helper domains" first second
+
+(* A pool call made from inside a pool task runs serially and returns. *)
+let test_pool_nested_call () =
+  let r =
+    Pool.run ~jobs:2
+      (Array.init 4 (fun i () ->
+           Array.fold_left ( + ) 0
+             (Pool.run ~jobs:2 (Array.init 3 (fun k () -> (10 * i) + k)))))
+  in
+  check (Alcotest.array int_) "nested sums" [| 3; 33; 63; 93 |] r
+
 (* The tentpole guarantee: a figure built on 4 worker domains renders
    bit-identically to the serial build. *)
 let test_parallel_figures_deterministic () =
@@ -337,4 +368,6 @@ let suite =
     ("figures registry", `Quick, test_figures_registry);
     ("report render and csv", `Quick, test_report_render_and_csv);
     ("report cpi stacks", `Slow, test_report_cpi_stacks);
+    ("pool helpers outlive a batch", `Quick, test_pool_helpers_persist);
+    ("pool nested call", `Quick, test_pool_nested_call);
   ]
