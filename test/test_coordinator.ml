@@ -1055,6 +1055,43 @@ let test_admission_parity () =
     check bool_ "job 3 runs" true (member "ok" r3 = Json.Bool true)
   | _ -> Alcotest.fail "wrong response count"
 
+(* One write carrying 12 jobs must not put 12 in flight: the socket
+   loop admits at most [queue] at a time from what a read framed, as a
+   stdio chunk does. With [queue = 2] two jobs (80 001 dyn) fit under
+   the 90 000 shed budget, so nothing is shed; before the backlog, all
+   12 were admitted at once and 10 were shed. *)
+let test_socket_queue_cap () =
+  let lines = List.init 12 (fun i -> job ~dyn:(40_000 + i) i) in
+  let cfg () =
+    Serve_config.of_flags ~workers:1 ~jobs:1 ~queue:2 ~shed_above:90_000 ()
+  in
+  (* wall time and cache provenance differ run to run *)
+  let strip r =
+    match r with
+    | Json.Obj kvs ->
+      Json.to_string
+        (Json.Obj (List.filter (fun (k, _) -> k <> "wall_s" && k <> "cache_hit") kvs))
+    | _ -> Json.to_string r
+  in
+  let _, stdin = serve ~cfg:{ (cfg ()) with Serve_config.workers = 0 } lines in
+  let socket =
+    with_socket_tier ~cfg:(cfg ()) (fun ~connect ~send ~recv_line ->
+        let fd = connect () in
+        send fd (String.concat "\n" lines);
+        let rs =
+          List.init 12 (fun _ ->
+              match recv_line fd with
+              | Some l -> Json.parse l
+              | None -> Alcotest.fail "socket closed early")
+        in
+        Unix.close fd;
+        rs)
+  in
+  let served = List.filter (fun r -> member "ok" r = Json.Bool true) socket in
+  check int_ "every job served, none shed" 12 (List.length served);
+  check (Alcotest.list Alcotest.string) "socket responses equal stdin's"
+    (List.map strip stdin) (List.map strip socket)
+
 (* --- the event loop's periodic metrics ----------------------------------- *)
 
 let test_socket_metrics_snapshots () =
@@ -1145,4 +1182,6 @@ let suite =
       test_torn_frame_resubmit;
     Alcotest.test_case "scheduled chaos exactly-once" `Quick
       test_scheduled_chaos;
+    Alcotest.test_case "socket admits at most queue jobs per connection" `Quick
+      test_socket_queue_cap;
   ]
