@@ -151,10 +151,20 @@ val raw : t -> Raw.t
 
 val run_raw : ?max_steps:int -> ?poll:(unit -> unit) -> t -> (Raw.t -> unit) -> int
 (** Like {!run_events} but streams the machine's single mutable
-    {!Raw.t} scratch record to the sink — zero allocation per dynamic
-    instruction. The sink must copy out anything it wants to keep.
-    [poll] (if given) is called once every 2048 events, a cooperative
-    cancellation point for deadline enforcement. *)
+    {!Raw.t} scratch record to the sink. The sink must copy out
+    anything it wants to keep. [poll] (if given) is called once every
+    2048 events, a cooperative cancellation point for deadline
+    enforcement.
+
+    Steady state allocates nothing per dynamic instruction: once
+    expansions are memoized, superblocks compiled and memory pages
+    touched, an instruction executes without touching the minor heap,
+    with the JIT on or off. test_uarch's "steady-state words per
+    instruction" checks this: it counts [Gc.minor_words] between
+    dynamic instructions 100 000 and 200 000 of bzip2 and mcf at 300K
+    (baseline, MFI-DISE3 and [full_dise] decompression) and bounds it
+    at 0.01 words per instruction. Warm-up (first expansions, trace
+    compilation, new pages) does allocate. *)
 
 val exit_code : t -> int
 (** Value of r2 at halt, the program's exit-convention register. *)
